@@ -51,13 +51,17 @@ def rk_estimate(
             yield pd.DataFrame({"hit": hits})
 
     parts = max(1, min(T, spark.sparkContext.defaultParallelism * 2))
-    out = (
-        spark.createDataFrame(pairs)
-        .repartition(parts)
-        .mapInPandas(part, "hit double")
-        .agg({"hit": "avg"})
-        .collect()[0][0]
-    )
+    try:
+        out = (
+            spark.createDataFrame(pairs)
+            .repartition(parts)
+            .mapInPandas(part, "hit double")
+            .agg({"hit": "avg"})
+            .collect()[0][0]
+        )
+    finally:
+        bg.destroy()
+        br.destroy()
     nbc = float(out)
     return BaselineResult(
         r=int(r),

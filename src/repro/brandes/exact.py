@@ -1,65 +1,93 @@
 """Exact betweenness via Spark-distributed Brandes passes.
 
-The exact baseline of every table: single-source Brandes passes fan out
-over executors with ``mapInPandas`` against a broadcast CSR, partial
-per-partition betweenness vectors are summed with a groupBy. This is the
-O(nm) computation the paper's samplers undercut.
+The exact baseline of every table. Each call is one Spark job: the
+sources are cut into ``defaultParallelism`` contiguous chunks, each task
+sweeps its chunk with the batched kernel
+:func:`~repro.bfs.local.dependency_block` against a broadcast CSR, and
+the driver reduces the collected results in chunk order, so the result
+is identical from run to run at a given ``defaultParallelism``. This is
+the O(nm) computation the paper's samplers undercut.
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from ..bfs.local import dependency_vector
+from ..bfs.local import block_size, dependency_block
 from ..graphs.csr import CSRGraph
 
 
-def _sources_df(spark: SparkSession, g: CSRGraph, partitions: int) -> DataFrame:
-    pdf = pd.DataFrame({"s": np.arange(g.n, dtype=np.int64)})
-    return spark.createDataFrame(pdf).repartition(partitions)
+def _map_chunks(
+    spark: SparkSession,
+    g: CSRGraph,
+    sources: np.ndarray,
+    fold: Callable[[Iterator[np.ndarray]], np.ndarray],
+    label: str,
+) -> list[np.ndarray]:
+    """Run one Spark job over contiguous chunks of ``sources``.
 
-
-def _n_partitions(spark: SparkSession, n_tasks: int) -> int:
-    return max(1, min(n_tasks, spark.sparkContext.defaultParallelism * 2))
-
-
-def betweenness_all(spark: SparkSession, g: CSRGraph) -> DataFrame:
-    """Exact ``BC(v)`` for every vertex: DataFrame ``id, bc``.
-
-    Ordered-pair convention (matches :mod:`repro.brandes.reference`).
-    Each task accumulates the dependency vectors of its sources locally
-    and emits one partial vector, so shuffle volume is
-    O(partitions · n), not O(n²).
+    Task ``i`` returns ``fold`` of the :func:`dependency_block` outputs of
+    chunk ``i``, one block of :func:`block_size` sources at a time, and the
+    results come back in chunk order. There are ``defaultParallelism``
+    tasks, never more than sources. The job carries ``label`` as its Spark
+    job description; the CSR broadcast is destroyed once it returns.
     """
-    bg = spark.sparkContext.broadcast(g)
+    sc = spark.sparkContext
+    chunks = np.array_split(sources, max(1, min(sc.defaultParallelism, len(sources))))
+    bg = sc.broadcast(g)
 
-    def part(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def task(chunk: np.ndarray) -> np.ndarray:
         graph = bg.value
-        acc = np.zeros(graph.n)
-        for pdf in batches:
-            for s in pdf["s"].to_numpy():
-                acc += dependency_vector(graph, int(s))
-        yield pd.DataFrame({"id": np.arange(graph.n, dtype=np.int64), "bc": acc})
+        step = block_size(graph)
+        return fold(
+            dependency_block(graph, chunk[i : i + step])
+            for i in range(0, len(chunk), step)
+        )
 
-    parts = _n_partitions(spark, g.n)
-    out = (
-        _sources_df(spark, g, parts)
-        .mapInPandas(part, "id long, bc double")
-        .groupBy("id")
-        .sum("bc")
-        .withColumnRenamed("sum(bc)", "bc")
-    )
-    return out
+    previous = sc.getLocalProperty("spark.job.description")
+    sc.setJobDescription(label)
+    try:
+        return sc.parallelize(chunks, len(chunks)).map(task).collect()
+    finally:
+        sc.setJobDescription(previous)
+        bg.destroy()
 
 
 def betweenness_vector(spark: SparkSession, g: CSRGraph) -> np.ndarray:
-    """Exact ``BC`` as a dense NumPy vector indexed by vertex id."""
-    pdf = betweenness_all(spark, g).toPandas().sort_values("id")
-    out = np.zeros(g.n)
-    out[pdf["id"].to_numpy()] = pdf["bc"].to_numpy()
+    """Exact ``BC`` as a dense NumPy vector indexed by vertex id.
+
+    Ordered-pair convention (matches :mod:`repro.brandes.reference`).
+    Each task sums the dependency vectors of its sources, so the driver
+    collects O(tasks · n) floats, not O(n²).
+    """
+    n = g.n
+
+    def fold(blocks: Iterator[np.ndarray]) -> np.ndarray:
+        return sum((block.sum(axis=0) for block in blocks), np.zeros(n))
+
+    parts = _map_chunks(
+        spark, g, np.arange(n, dtype=np.int64), fold, "brandes.betweenness_vector"
+    )
+    return sum(parts, np.zeros(n))
+
+
+def betweenness_all(spark: SparkSession, g: CSRGraph) -> DataFrame:
+    """Exact ``BC(v)`` for every vertex: DataFrame ``id, bc``."""
+    bc = betweenness_vector(spark, g)
+    return spark.createDataFrame(
+        pd.DataFrame({"id": np.arange(g.n, dtype=np.int64), "bc": bc})
+    )
+
+
+def _vertex_ids(g: CSRGraph, ids: Sequence[int], what: str) -> np.ndarray:
+    """Sorted distinct vertex ids; ``ValueError`` if any is outside ``[0, n)``."""
+    out = np.asarray(sorted(set(int(v) for v in ids)), dtype=np.int64)
+    if len(out) and (out[0] < 0 or out[-1] >= g.n):
+        bad = out[0] if out[0] < 0 else out[-1]
+        raise ValueError(f"{what} {int(bad)} out of range [0, {g.n})")
     return out
 
 
@@ -75,46 +103,32 @@ def dependency_matrix(
     ``sources`` defaults to all of ``V`` (ground truth mode); the samplers
     pass only their *distinct proposal* vertices — the embarrassingly
     parallel phase of the MH algorithms. Returns a pandas frame
-    ``s, r, delta``. One Brandes pass per source yields the dependency on
-    *all* targets at once — the same trick the joint-space sampler relies
-    on. Ground truth for ``P_r[·]`` (Eq. 5), ``μ(r)``, the bias envelope,
-    and all exact relative-betweenness quantities.
+    ``s, r, delta`` sorted by ``r`` then ``s``. One Brandes pass per source
+    yields the dependency on *all* targets at once — the same trick the
+    joint-space sampler relies on. Ground truth for ``P_r[·]`` (Eq. 5),
+    ``μ(r)``, the bias envelope, and all exact relative-betweenness
+    quantities. Raises ``ValueError`` if ``targets`` is empty or a target
+    or source is not a vertex of ``g``.
     """
-    bg = spark.sparkContext.broadcast(g)
-    tg = np.asarray(sorted(set(int(t) for t in targets)), dtype=np.int64)
-    bt = spark.sparkContext.broadcast(tg)
-
-    def part(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        graph, tgts = bg.value, bt.value
-        for pdf in batches:
-            rows_s, rows_r, rows_d = [], [], []
-            for s in pdf["s"].to_numpy():
-                d = dependency_vector(graph, int(s))[tgts]
-                rows_s.append(np.full(len(tgts), s, dtype=np.int64))
-                rows_r.append(tgts)
-                rows_d.append(d)
-            if rows_s:
-                yield pd.DataFrame(
-                    {
-                        "s": np.concatenate(rows_s),
-                        "r": np.concatenate(rows_r),
-                        "delta": np.concatenate(rows_d),
-                    }
-                )
-
+    tg = _vertex_ids(g, targets, "target")
+    if not len(tg):
+        raise ValueError("targets must not be empty")
     if sources is None:
         src = np.arange(g.n, dtype=np.int64)
     else:
-        src = np.asarray(sorted(set(int(s) for s in sources)), dtype=np.int64)
-    parts = _n_partitions(spark, len(src))
-    src_df = spark.createDataFrame(pd.DataFrame({"s": src})).repartition(parts)
-    out = (
-        src_df.mapInPandas(part, "s long, r long, delta double")
-        .toPandas()
-        .sort_values(["r", "s"])
-        .reset_index(drop=True)
+        src = _vertex_ids(g, sources, "source")
+
+    def fold(blocks: Iterator[np.ndarray]) -> np.ndarray:
+        return np.concatenate([block[:, tg] for block in blocks] + [np.empty((0, len(tg)))])
+
+    delta = np.concatenate(_map_chunks(spark, g, src, fold, "brandes.dependency_matrix"))
+    return pd.DataFrame(
+        {
+            "s": np.tile(src, len(tg)),
+            "r": np.repeat(tg, len(src)),
+            "delta": delta.T.ravel(),
+        }
     )
-    return out
 
 
 def betweenness_of(spark: SparkSession, g: CSRGraph, r: int) -> float:

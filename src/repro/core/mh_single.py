@@ -6,10 +6,10 @@ Independence MH on the state space V(G): uniform proposals, acceptance
 Distributed execution exploits the *independence* structure: all ``T``
 proposals are i.i.d. uniform and can be pre-drawn, so the expensive part
 — one O(|E|) Brandes pass per **distinct** proposed vertex — fans out as
-a Spark job (``mapInPandas`` over a broadcast CSR, or the pure-DataFrame
-BFS kernel in ``dataframe`` mode), while the inherently sequential
-accept/reject scan is O(T) float work on the driver. For ``T ≥ n`` at
-most ``n`` passes are computed regardless of chain length.
+a Spark job (batched Brandes sweeps over a broadcast CSR, or the
+pure-DataFrame BFS kernel in ``dataframe`` mode), while the inherently
+sequential accept/reject scan is O(T) float work on the driver. For
+``T ≥ n`` at most ``n`` passes are computed regardless of chain length.
 """
 from __future__ import annotations
 

@@ -91,6 +91,15 @@ class TestTableBuilders:
         kinds = {role for _, role in roles}
         assert "max-bc" in kinds
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: gen.grid_2d(30, 30), lambda: gen.two_communities(400, p_in=0.02, seed=4)],
+        ids=["grid-30x30", "2comm-400"],
+    )
+    def test_roles_for_stable_between_runs(self, spark, make):
+        g = make()
+        assert tables.roles_for(spark, g) == tables.roles_for(spark, g)
+
     def test_table1_test_scale(self, spark):
         df = tables.table1(spark, "test")
         assert len(df) == len(tables.bench_suite("test"))

@@ -3,7 +3,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bfs.local import bfs_sigma, dependency_vector
+from repro.bfs.local import bfs_sigma, dependency_block, dependency_vector
 from repro.brandes.reference import brandes_betweenness, brandes_dependency
 from repro.brandes.relative import eq21_residual, min_ratio, mu_r
 from repro.graphs.csr import from_edges, is_connected, largest_component
@@ -21,8 +21,11 @@ graph_seeds = st.integers(min_value=0, max_value=10_000)
 @settings(max_examples=25, deadline=None)
 def test_kernel_equals_reference(seed):
     g = _random_connected(seed)
+    block = dependency_block(g, np.arange(g.n))
     for s in range(g.n):
-        assert np.allclose(dependency_vector(g, s), brandes_dependency(g, s))
+        ref = brandes_dependency(g, s)
+        assert np.allclose(dependency_vector(g, s), ref)
+        assert np.allclose(block[s], ref)
 
 
 @given(graph_seeds)

@@ -5,6 +5,8 @@ import pytest
 from repro.bfs.local import (
     _ranges,
     bfs_sigma,
+    block_size,
+    dependency_block,
     dependency_vector,
     pair_dependency,
     random_shortest_path,
@@ -105,6 +107,59 @@ class TestDependencyVector:
     def test_nonnegative(self, any_graph):
         for s in range(any_graph.n):
             assert (dependency_vector(any_graph, s) >= 0).all()
+
+
+def diamond_chain(k: int):
+    """``k`` diamonds in a row: hub ``3i`` meets hub ``3i + 3`` via ``3i + 1``
+    and ``3i + 2``, so σ from vertex 0 doubles at every hub (n = 3k + 1)."""
+    pairs = []
+    for i in range(k):
+        h = 3 * i
+        pairs += [(h, h + 1), (h, h + 2), (h + 1, h + 3), (h + 2, h + 3)]
+    return from_edges(3 * k + 1, graph_edges(pairs))
+
+
+class TestDependencyBlock:
+    @pytest.mark.parametrize("key", sorted(SMALL_GRAPHS))
+    def test_rows_equal_vector(self, key):
+        g = graph(key)
+        block = dependency_block(g, np.arange(g.n))
+        for s in range(g.n):
+            assert np.array_equal(block[s], dependency_vector(g, s))
+
+    def test_disconnected_with_isolated_vertex(self):
+        # Components {0, 1, 2} and {3, 4}; vertex 5 is isolated.
+        g = from_edges(6, graph_edges([(0, 1), (1, 2), (3, 4)]))
+        block = dependency_block(g, np.arange(g.n))
+        assert np.isfinite(block).all()
+        assert block[0, 1] == 1.0  # only the pair 0→2 passes through 1
+        assert (block[:3, 3:] == 0).all() and (block[3:, :3] == 0).all()
+        assert (block[5] == 0).all()
+        for s in range(g.n):
+            assert np.array_equal(block[s], dependency_vector(g, s))
+
+    def test_sources_span_several_blocks(self):
+        g = gen.grid_2d(100, 100)
+        sources = np.arange(0, g.n, 200)[::-1]
+        assert len(sources) > 2 * block_size(g)
+        block = dependency_block(g, sources)
+        for row, s in zip(block, sources):
+            assert np.array_equal(row, dependency_vector(g, int(s)))
+
+
+class TestSigmaOverflow:
+    """σ from vertex 0 of 1 100 diamonds is 2^1100: float64 overflows."""
+
+    def test_vector_raises(self):
+        with pytest.raises(FloatingPointError, match="source 0"):
+            dependency_vector(diamond_chain(1100), 0)
+
+    def test_block_raises_naming_source(self):
+        g = diamond_chain(1100)
+        assert g.n == 3301
+        with pytest.raises(FloatingPointError, match="source 0"):
+            # Hub 1650 is 550 diamonds from either end: σ ≤ 2^550 is finite.
+            dependency_block(g, [1650, 0])
 
 
 class TestPairDependency:
