@@ -9,7 +9,8 @@ All kernels are vectorised level-synchronous sweeps — no per-edge Python
 loops — so a 100k-edge graph costs ~1 ms per source.
 :func:`dependency_block` sweeps many sources at once, so each per-level
 NumPy call serves the whole block; :func:`dependency_vector` is its
-single-source oracle.
+single-source oracle. :func:`bfs_block` is the forward half of the same
+sweep, with :func:`bfs_sigma` as its oracle.
 """
 from __future__ import annotations
 
@@ -96,12 +97,13 @@ def dependency_vector(g: CSRGraph, source: int) -> np.ndarray:
         share = (sigma[p] / sigma[w]) * (1.0 + delta[w])
         np.add.at(delta, p, share)
     delta[source] = 0.0
-    _check_finite(sigma, delta, np.array([source]))
+    _check_finite(source, sigma, delta)
     return delta
 
 
 def block_size(g: CSRGraph) -> int:
-    """Sources per :func:`dependency_block` sweep: ``max(1, 2**20 // (n + 2m))``."""
+    """Sources per :func:`dependency_block` or :func:`bfs_block` sweep:
+    ``max(1, 2**20 // (n + 2m))``."""
     return max(1, 2**20 // (g.n + len(g.indices)))
 
 
@@ -124,22 +126,45 @@ def dependency_block(g: CSRGraph, sources) -> np.ndarray:
     return out
 
 
-def _sweep(g: CSRGraph, src: np.ndarray) -> np.ndarray:
-    """One level-synchronous Brandes sweep of the block ``src`` (see above).
+def bfs_block(g: CSRGraph, sources) -> tuple[np.ndarray, np.ndarray]:
+    """``(dist, sigma)`` of every ``s`` in ``sources``: two ``(len(sources), n)`` arrays.
+
+    Row ``i`` is bit-identical to ``bfs_sigma(g, sources[i])``. Sources are
+    swept :func:`block_size` at a time by the forward half of the
+    :func:`dependency_block` sweep. Raises ``FloatingPointError`` naming the
+    source when σ overflows float64.
+    """
+    src = np.asarray(sources, dtype=np.int64)
+    dist = np.full((len(src), g.n), -1, dtype=np.int32)
+    sigma = np.empty((len(src), g.n))
+    step = block_size(g)
+    for i in range(0, len(src), step):
+        block = src[i : i + step]
+        flat, dag = _forward(g, block)
+        d = dist[i : i + step].reshape(-1)
+        for level, (frontier, _, _) in enumerate(dag):
+            d[frontier] = level
+        sigma[i : i + step] = flat.reshape(len(block), g.n)
+        _check_finite(block, sigma[i : i + step])
+    return dist, sigma
+
+
+def _forward(g: CSRGraph, src: np.ndarray) -> tuple[np.ndarray, list]:
+    """Forward half of a block sweep: flat ``B·n`` σ and the recorded DAG.
 
     Each level touches only its frontier's arcs: ``np.unique`` dedupes the
-    next frontier and ``np.bincount`` over compact indices sums σ forward
-    and δ backward, so no level costs O(B·n). The reverse sweep replays the
-    DAG arcs the forward pass recorded instead of gathering neighbours again.
+    next frontier and ``np.bincount`` over compact indices sums σ, so no
+    level costs O(B·n). ``dag[d]`` is ``(frontier, tail, head)`` of level
+    ``d``: the flat ids ``b·n + v`` at distance ``d`` (sorted), and each arc
+    into level ``d + 1`` as an index into ``frontier`` and a flat head id.
     """
     n = g.n
     seen = np.zeros(len(src) * n, dtype=bool)
     sigma = np.zeros(len(src) * n)
-    delta = np.zeros(len(src) * n)
     frontier = np.arange(len(src), dtype=np.int64) * n + src
     seen[frontier] = True
     sigma[frontier] = 1.0
-    dag = []  # per level: (frontier, arc → frontier index, arc head)
+    dag = []
     while frontier.size:
         v = frontier % n
         starts = g.indptr[v]
@@ -153,21 +178,34 @@ def _sweep(g: CSRGraph, src: np.ndarray) -> np.ndarray:
         seen[nxt] = True
         dag.append((frontier, tail, head))
         frontier = nxt
+    return sigma, dag
+
+
+def _sweep(g: CSRGraph, src: np.ndarray) -> np.ndarray:
+    """One level-synchronous Brandes sweep of the block ``src`` (see
+    :func:`dependency_block`).
+
+    The reverse sweep replays the DAG arcs the forward pass recorded,
+    summing δ with ``np.bincount``, instead of gathering neighbours again.
+    """
+    sigma, dag = _forward(g, src)
+    delta = np.zeros(len(sigma))
     # Arcs out of the sources are skipped: δ_s•(s) = 0 by convention.
     for parents, tail, head in reversed(dag[1:]):
         share = (sigma[parents[tail]] / sigma[head]) * (1.0 + delta[head])
         delta[parents] = np.bincount(tail, weights=share, minlength=len(parents))
-    delta = delta.reshape(len(src), n)
-    _check_finite(sigma.reshape(len(src), n), delta, src)
+    delta = delta.reshape(len(src), g.n)
+    _check_finite(src, sigma.reshape(len(src), g.n), delta)
     return delta
 
 
-def _check_finite(sigma: np.ndarray, delta: np.ndarray, src: np.ndarray) -> None:
-    """Raise if a row of σ or δ is not finite: σ overflowed float64."""
-    bad = ~(np.isfinite(sigma).all(axis=-1) & np.isfinite(delta).all(axis=-1))
+def _check_finite(src, *rows: np.ndarray) -> None:
+    """Raise if row ``i`` of any of ``rows`` (σ, δ) is not finite: σ overflowed
+    float64 on the sweep from source ``src[i]``."""
+    bad = ~np.logical_and.reduce([np.isfinite(a).all(axis=-1) for a in rows])
     if bad.any():
         raise FloatingPointError(
-            f"non-finite dependency from source {int(src[np.argmax(bad)])}: "
+            f"non-finite σ or δ from source {int(np.atleast_1d(src)[np.argmax(bad)])}: "
             "shortest-path counts overflow float64"
         )
 
@@ -205,22 +243,39 @@ def random_shortest_path(
 ) -> list[int] | None:
     """A uniformly random shortest ``s–t`` path (RK sampler primitive).
 
-    Walk backwards from ``t`` choosing each predecessor ``p`` with
-    probability ``σ_sp / Σ_p' σ_sp'`` — this makes every shortest path
-    equally likely. Returns None if ``t`` is unreachable or ``s == t``.
+    Returns None if ``t`` is unreachable or ``s == t``, and raises
+    ``FloatingPointError`` naming ``s`` when σ from ``s`` overflows float64.
     """
     if s == t:
         return None
     dist, sigma = bfs_sigma(g, s)
+    _check_finite(s, sigma)
     if dist[t] < 0:
         return None
+    return walk_back(g, dist, sigma, t, rng)[::-1]
+
+
+def walk_back(
+    g: CSRGraph,
+    dist: np.ndarray,
+    sigma: np.ndarray,
+    t: int,
+    rng: np.random.Generator,
+    *,
+    stop: int = 0,
+) -> list[int]:
+    """``t``, then one predecessor per level down to distance ``stop``.
+
+    ``dist``, ``sigma`` are one source's :func:`bfs_sigma` row. Each
+    predecessor ``p`` of the current vertex is chosen with probability
+    ``σ_sp / Σ_p' σ_sp'``, which makes every shortest path into ``t``
+    equally likely; with ``stop = 0`` the walk is a whole path, reversed.
+    """
     path = [t]
-    cur = t
-    while cur != s:
+    while dist[path[-1]] > stop:
+        cur = path[-1]
         nbrs = g.neighbors(cur)
         preds = nbrs[dist[nbrs] == dist[cur] - 1]
         w = sigma[preds]
-        cur = int(rng.choice(preds, p=w / w.sum()))
-        path.append(cur)
-    path.reverse()
+        path.append(int(rng.choice(preds, p=w / w.sum())))
     return path

@@ -10,7 +10,7 @@ the O(nm) computation the paper's samplers undercut.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
@@ -20,40 +20,60 @@ from ..bfs.local import block_size, dependency_block
 from ..graphs.csr import CSRGraph
 
 
-def _map_chunks(
+def source_chunks(spark: SparkSession, sources: np.ndarray) -> list[np.ndarray]:
+    """``sources`` cut into ``defaultParallelism`` contiguous chunks, never
+    more chunks than sources (and one, possibly empty, if there are none)."""
+    k = min(spark.sparkContext.defaultParallelism, len(sources))
+    return np.array_split(sources, max(1, k))
+
+
+def map_chunks(
+    spark: SparkSession,
+    g: CSRGraph,
+    chunks: Sequence[Any],
+    task: Callable[[CSRGraph, Any], Any],
+    label: str,
+) -> list[Any]:
+    """``[task(g, chunk) for chunk in chunks]`` as one Spark job, in chunk order.
+
+    One task per chunk runs ``task`` against a broadcast copy of ``g``. The
+    job carries ``label`` as its Spark job description (the previous one is
+    restored afterwards), and the broadcast is destroyed once it returns.
+    """
+    sc = spark.sparkContext
+    bg = sc.broadcast(g)
+    previous = sc.getLocalProperty("spark.job.description")
+    sc.setJobDescription(label)
+    try:
+        return (
+            sc.parallelize(chunks, len(chunks))
+            .map(lambda chunk: task(bg.value, chunk))
+            .collect()
+        )
+    finally:
+        sc.setJobDescription(previous)
+        bg.destroy()
+
+
+def _map_blocks(
     spark: SparkSession,
     g: CSRGraph,
     sources: np.ndarray,
     fold: Callable[[Iterator[np.ndarray]], np.ndarray],
     label: str,
 ) -> list[np.ndarray]:
-    """Run one Spark job over contiguous chunks of ``sources``.
+    """One job over :func:`source_chunks` of ``sources``: task ``i`` returns
+    ``fold`` of the :func:`dependency_block` outputs of chunk ``i``, one block
+    of :func:`block_size` sources at a time."""
 
-    Task ``i`` returns ``fold`` of the :func:`dependency_block` outputs of
-    chunk ``i``, one block of :func:`block_size` sources at a time, and the
-    results come back in chunk order. There are ``defaultParallelism``
-    tasks, never more than sources. The job carries ``label`` as its Spark
-    job description; the CSR broadcast is destroyed once it returns.
-    """
-    sc = spark.sparkContext
-    chunks = np.array_split(sources, max(1, min(sc.defaultParallelism, len(sources))))
-    bg = sc.broadcast(g)
-
-    def task(chunk: np.ndarray) -> np.ndarray:
-        graph = bg.value
+    def task(graph: CSRGraph, chunk: np.ndarray) -> np.ndarray:
         step = block_size(graph)
         return fold(
             dependency_block(graph, chunk[i : i + step])
             for i in range(0, len(chunk), step)
         )
 
-    previous = sc.getLocalProperty("spark.job.description")
-    sc.setJobDescription(label)
-    try:
-        return sc.parallelize(chunks, len(chunks)).map(task).collect()
-    finally:
-        sc.setJobDescription(previous)
-        bg.destroy()
+    return map_chunks(spark, g, source_chunks(spark, sources), task, label)
 
 
 def betweenness_vector(spark: SparkSession, g: CSRGraph) -> np.ndarray:
@@ -68,7 +88,7 @@ def betweenness_vector(spark: SparkSession, g: CSRGraph) -> np.ndarray:
     def fold(blocks: Iterator[np.ndarray]) -> np.ndarray:
         return sum((block.sum(axis=0) for block in blocks), np.zeros(n))
 
-    parts = _map_chunks(
+    parts = _map_blocks(
         spark, g, np.arange(n, dtype=np.int64), fold, "brandes.betweenness_vector"
     )
     return sum(parts, np.zeros(n))
@@ -89,6 +109,20 @@ def _vertex_ids(g: CSRGraph, ids: Sequence[int], what: str) -> np.ndarray:
         bad = out[0] if out[0] < 0 else out[-1]
         raise ValueError(f"{what} {int(bad)} out of range [0, {g.n})")
     return out
+
+
+def check_sampler_args(g: CSRGraph, R: Sequence[int], T: int) -> None:
+    """``ValueError`` unless ``g`` has at least 2 vertices, ``T ≥ 1`` and ``R``
+    is a non-empty list of distinct vertices of ``g`` (the targets of a
+    sampler run)."""
+    if g.n < 2:
+        raise ValueError(f"graph has {g.n} vertices; sampling needs at least 2")
+    if T < 1:
+        raise ValueError(f"T must be at least 1, got {T}")
+    if not len(R):
+        raise ValueError("R must not be empty")
+    if len(_vertex_ids(g, R, "target")) != len(R):
+        raise ValueError(f"R has duplicate vertices: {list(R)}")
 
 
 def dependency_matrix(
@@ -121,7 +155,7 @@ def dependency_matrix(
     def fold(blocks: Iterator[np.ndarray]) -> np.ndarray:
         return np.concatenate([block[:, tg] for block in blocks] + [np.empty((0, len(tg)))])
 
-    delta = np.concatenate(_map_chunks(spark, g, src, fold, "brandes.dependency_matrix"))
+    delta = np.concatenate(_map_blocks(spark, g, src, fold, "brandes.dependency_matrix"))
     return pd.DataFrame(
         {
             "s": np.tile(src, len(tg)),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from ..brandes.exact import dependency_matrix
+from ..brandes.exact import check_sampler_args, dependency_matrix
 from ..brandes.relative import min_ratio
 from ..graphs.csr import CSRGraph
 from .estimators import eq22_ratio, relative_score_estimate
@@ -107,8 +107,11 @@ def mh_joint(
 
     Deterministic in ``seed``. ``scores`` may carry a precomputed
     ``v → δ-vector-over-R`` table (multi-chain coverage runs); missing
-    vertices are scored via Spark.
+    vertices are scored via Spark. Raises ``ValueError`` if ``R`` is empty,
+    has duplicates or a non-vertex, ``T < 1`` or ``g`` has fewer than 2
+    vertices.
     """
+    check_sampler_args(g, R, T)
     k = len(R)
     rng = np.random.default_rng(seed)
     r0_idx = int(rng.integers(0, k))

@@ -19,7 +19,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from ..bfs.dataframe_dependency import dependency_scores
-from ..brandes.exact import dependency_matrix
+from ..brandes.exact import check_sampler_args, dependency_matrix
 from ..graphs.csr import CSRGraph
 from ..graphs.spark_io import edges_spark, symmetric_edges
 from .estimators import eq7_accepted_only, eq7_estimate
@@ -125,7 +125,10 @@ def mh_single(
     coin flips all come from one PCG64 stream). ``scores`` may carry a
     precomputed δ table (e.g. when running many chains on one graph —
     Table 4 coverage runs) — any missing vertex is scored via Spark.
+    Raises ``ValueError`` if ``r`` is not a vertex of ``g``, ``T < 1`` or
+    ``g`` has fewer than 2 vertices.
     """
+    check_sampler_args(g, [r], T)
     rng = np.random.default_rng(seed)
     v0 = int(rng.integers(0, g.n))
     proposals = rng.integers(0, g.n, size=T)

@@ -8,9 +8,11 @@ from repro.baselines.distance_sampler import (
 )
 from repro.baselines.rk_sampler import rk_estimate
 from repro.baselines.uniform_source import uniform_source_estimate
-from repro.bfs.local import bfs_sigma
+from repro.bfs.local import bfs_sigma, random_shortest_path
+from repro.graphs.csr import from_edges
 
-from .conftest import dep_column, exact_bc, graph
+from .conftest import SMALL_GRAPHS, dep_column, exact_bc, graph
+from .test_local_bfs import graph_edges
 
 
 def _scores(key, r):
@@ -90,7 +92,35 @@ class TestDistanceSampler:
         assert abs(np.mean(ests) - bc[r]) / bc[r] < 0.05
 
 
+def rk_oracle(g, r, T, seed):
+    """Serial RK: the same seeded pairs, each through ``random_shortest_path``."""
+    rng = np.random.default_rng(seed)
+    s = rng.integers(0, g.n, size=T)
+    t = (s + 1 + rng.integers(0, g.n - 1, size=T)) % g.n
+    pair_seed = rng.integers(0, 2**62, size=T)
+    hits = 0
+    for a, b, ps in zip(s, t, pair_seed):
+        path = random_shortest_path(g, int(a), int(b), np.random.default_rng(int(ps)))
+        hits += path is not None and r in path[1:-1]
+    return hits / T
+
+
+RK_GRAPHS = {
+    **{key: (lambda key=key: graph(key)) for key in SMALL_GRAPHS},
+    # Components {0, 1, 2} and {3, 4}; vertex 5 is isolated.
+    "disconnected6": lambda: from_edges(6, graph_edges([(0, 1), (1, 2), (3, 4)])),
+}
+
+
 class TestRKSampler:
+    @pytest.mark.parametrize("key", sorted(RK_GRAPHS))
+    def test_equals_serial_oracle(self, spark, key):
+        g = RK_GRAPHS[key]()
+        for r in (0, g.n // 2, g.n - 1):
+            for seed in (1, 2):
+                got = rk_estimate(spark, g, r, 200, seed=seed).estimate_nbc
+                assert got == rk_oracle(g, r, 200, seed)
+
     def test_determinism(self, spark):
         a = rk_estimate(spark, graph("er30"), 0, 200, seed=4)
         b = rk_estimate(spark, graph("er30"), 0, 200, seed=4)

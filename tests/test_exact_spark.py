@@ -135,6 +135,22 @@ class TestSparkResources:
         ]
         assert spark.sparkContext.getLocalProperty("spark.job.description") is None
 
+    def test_rk_job_labelled_then_restored(self, spark, monkeypatch):
+        labels = []
+        orig = SparkContext.setJobDescription
+
+        def spy(sc, value):
+            labels.append(value)
+            orig(sc, value)
+
+        monkeypatch.setattr(SparkContext, "setJobDescription", spy)
+        spark.sparkContext.setJobDescription("caller")
+        try:
+            rk_estimate(spark, graph("er30"), 0, 50, seed=1)
+            assert labels == ["caller", "baselines.rk_estimate", "caller"]
+        finally:
+            orig(spark.sparkContext, None)
+
 
 def test_betweenness_vector_bit_identical_between_runs(spark):
     g = gen.grid_2d(30, 30)

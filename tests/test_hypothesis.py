@@ -3,7 +3,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bfs.local import bfs_sigma, dependency_block, dependency_vector
+from repro.bfs.local import bfs_block, bfs_sigma, dependency_block, dependency_vector
 from repro.brandes.reference import brandes_betweenness, brandes_dependency
 from repro.brandes.relative import eq21_residual, min_ratio, mu_r
 from repro.graphs.csr import from_edges, is_connected, largest_component
@@ -22,10 +22,13 @@ graph_seeds = st.integers(min_value=0, max_value=10_000)
 def test_kernel_equals_reference(seed):
     g = _random_connected(seed)
     block = dependency_block(g, np.arange(g.n))
+    dist, sigma = bfs_block(g, np.arange(g.n))
     for s in range(g.n):
         ref = brandes_dependency(g, s)
         assert np.allclose(dependency_vector(g, s), ref)
         assert np.allclose(block[s], ref)
+        d_ref, s_ref = bfs_sigma(g, s)
+        assert np.array_equal(dist[s], d_ref) and np.array_equal(sigma[s], s_ref)
 
 
 @given(graph_seeds)

@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+from repro.bfs import local
 from repro.bfs.local import (
     _ranges,
+    bfs_block,
     bfs_sigma,
     block_size,
     dependency_block,
@@ -147,6 +149,28 @@ class TestDependencyBlock:
             assert np.array_equal(row, dependency_vector(g, int(s)))
 
 
+class TestBfsBlock:
+    @pytest.mark.parametrize("key", sorted(SMALL_GRAPHS))
+    def test_rows_equal_bfs_sigma(self, key, monkeypatch):
+        # Blocks of 4 sources, so every source list spans several blocks.
+        monkeypatch.setattr(local, "block_size", lambda g: 4)
+        g = graph(key)
+        sources = np.arange(g.n)[::-1]
+        dist, sigma = bfs_block(g, sources)
+        for s, d_row, s_row in zip(sources, dist, sigma):
+            d_ref, s_ref = bfs_sigma(g, int(s))
+            assert np.array_equal(d_row, d_ref) and np.array_equal(s_row, s_ref)
+
+    def test_disconnected_with_isolated_vertex(self):
+        g = from_edges(6, graph_edges([(0, 1), (1, 2), (3, 4)]))
+        dist, sigma = bfs_block(g, np.arange(g.n))
+        assert list(dist[0]) == [0, 1, 2, -1, -1, -1]
+        assert list(dist[5]) == [-1] * 5 + [0] and list(sigma[5]) == [0.0] * 5 + [1.0]
+        for s in range(g.n):
+            d_ref, s_ref = bfs_sigma(g, s)
+            assert np.array_equal(dist[s], d_ref) and np.array_equal(sigma[s], s_ref)
+
+
 class TestSigmaOverflow:
     """σ from vertex 0 of 1 100 diamonds is 2^1100: float64 overflows."""
 
@@ -160,6 +184,16 @@ class TestSigmaOverflow:
         with pytest.raises(FloatingPointError, match="source 0"):
             # Hub 1650 is 550 diamonds from either end: σ ≤ 2^550 is finite.
             dependency_block(g, [1650, 0])
+
+    def test_bfs_block_raises_naming_source(self):
+        with pytest.raises(FloatingPointError, match="source 0"):
+            bfs_block(diamond_chain(1100), [1650, 0])
+
+    def test_random_shortest_path_raises(self):
+        # σ at the far end is inf, so the walk's weights would be NaN.
+        g = diamond_chain(1100)
+        with pytest.raises(FloatingPointError, match="source 0"):
+            random_shortest_path(g, 0, g.n - 1, np.random.default_rng(0))
 
 
 class TestPairDependency:
