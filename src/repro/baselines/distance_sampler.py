@@ -12,13 +12,18 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from ..bfs.local import bfs_sigma
-from ..brandes.exact import dependency_matrix
+from ..brandes.exact import check_sampler_args, dependency_matrix
 from ..graphs.csr import CSRGraph
 from .uniform_source import BaselineResult
 
 
 def distance_distribution(g: CSRGraph, r: int) -> np.ndarray:
-    """``P[s] ∝ d(r, s)`` over all vertices (0 at ``r`` itself)."""
+    """``P[s] ∝ d(r, s)`` over all vertices (0 at ``r`` itself).
+
+    Raises ``ValueError`` if ``r`` is not a vertex of ``g``.
+    """
+    if not 0 <= r < g.n:
+        raise ValueError(f"target {r} out of range [0, {g.n})")
     dist, _ = bfs_sigma(g, r)
     w = dist.astype(np.float64)
     w[w < 0] = 0.0  # unreachable — excluded (connected graphs: none)
@@ -37,7 +42,12 @@ def distance_sampler_estimate(
     seed: int = 0,
     scores: dict[int, float] | None = None,
 ) -> BaselineResult:
-    """Estimate ``BC(r)`` from ``T`` distance-proportional samples."""
+    """Estimate ``BC(r)`` from ``T`` distance-proportional samples.
+
+    Raises ``ValueError`` if ``r`` is not a vertex of ``g``, ``T < 1`` or
+    ``g`` has fewer than 2 vertices.
+    """
+    check_sampler_args(g, [r], T)
     rng = np.random.default_rng(seed)
     p = distance_distribution(g, r)
     samples = rng.choice(g.n, size=T, p=p)

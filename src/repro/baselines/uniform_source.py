@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from ..brandes.exact import dependency_matrix
+from ..brandes.exact import check_sampler_args, dependency_matrix
 from ..graphs.csr import CSRGraph
 
 
@@ -37,7 +37,12 @@ def uniform_source_estimate(
     seed: int = 0,
     scores: dict[int, float] | None = None,
 ) -> BaselineResult:
-    """Estimate ``BC(r)`` from ``T`` uniform source samples."""
+    """Estimate ``BC(r)`` from ``T`` uniform source samples.
+
+    Raises ``ValueError`` if ``r`` is not a vertex of ``g``, ``T < 1`` or
+    ``g`` has fewer than 2 vertices.
+    """
+    check_sampler_args(g, [r], T)
     rng = np.random.default_rng(seed)
     pool = np.setdiff1d(np.arange(g.n), [r])
     samples = pool[rng.integers(0, len(pool), size=T)]

@@ -10,6 +10,8 @@ the O(nm) computation the paper's samplers undercut.
 """
 from __future__ import annotations
 
+import sys
+import zipimport
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -27,6 +29,24 @@ def source_chunks(spark: SparkSession, sources: np.ndarray) -> list[np.ndarray]:
     return np.array_split(sources, max(1, k))
 
 
+def _drop_zip_importers() -> None:
+    """Remove every ``zipimporter`` from ``sys.path_importer_cache``.
+
+    PySpark's worker calls ``importlib.invalidate_caches()`` before every
+    task, and on Python 3.11 that makes each cached ``zipimporter`` re-read
+    its archive's central directory: 12 importers into ``pyspark.zip``
+    (8 ms each) and 2 into the ``spark-core`` jar on the worker's
+    ``PYTHONPATH`` (28 ms each), about 0.23 s per task on a 4-core VM.
+    Dropping them is safe: the cache is only a cache, ``PathFinder``
+    rebuilds a missing entry through ``sys.path_hooks`` on the next import
+    that needs it, and a new ``zipimporter`` takes the archive listing from
+    ``zipimport._zip_directory_cache`` without reading the file again.
+    """
+    for path, finder in list(sys.path_importer_cache.items()):
+        if isinstance(finder, zipimport.zipimporter):
+            sys.path_importer_cache.pop(path, None)
+
+
 def map_chunks(
     spark: SparkSession,
     g: CSRGraph,
@@ -36,18 +56,28 @@ def map_chunks(
 ) -> list[Any]:
     """``[task(g, chunk) for chunk in chunks]`` as one Spark job, in chunk order.
 
-    One task per chunk runs ``task`` against a broadcast copy of ``g``. The
-    job carries ``label`` as its Spark job description (the previous one is
-    restored afterwards), and the broadcast is destroyed once it returns.
+    One task per chunk runs ``task`` against a broadcast copy of ``g`` and
+    then leaves its Python worker without cached zip importers
+    (:func:`_drop_zip_importers`), so the worker's next task starts without
+    re-reading any archive. The job carries ``label`` as its Spark job
+    description (the previous one is restored afterwards), and the
+    broadcast is destroyed once it returns.
     """
     sc = spark.sparkContext
     bg = sc.broadcast(g)
+
+    def run(chunk: Any) -> Any:
+        try:
+            return task(bg.value, chunk)
+        finally:
+            _drop_zip_importers()
+
     previous = sc.getLocalProperty("spark.job.description")
     sc.setJobDescription(label)
     try:
         return (
             sc.parallelize(chunks, len(chunks))
-            .map(lambda chunk: task(bg.value, chunk))
+            .map(run)
             .collect()
         )
     finally:

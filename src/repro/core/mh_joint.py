@@ -52,12 +52,12 @@ def score_vertices_joint(
     """``v → [δ_v•(r) for r in R]`` — one Brandes pass per distinct v."""
     distinct = np.unique(vertices)
     dm = dependency_matrix(spark, g, R, sources=distinct)
-    # dependency_matrix sorts targets; map back to caller's R order.
-    pivot = dm.pivot(index="s", columns="r", values="delta")
-    out: dict[int, np.ndarray] = {}
-    for v, row in pivot.iterrows():
-        out[int(v)] = np.array([float(row[int(r)]) for r in R])
-    return out
+    # dependency_matrix returns one run of sorted sources per sorted target;
+    # map the targets back to the caller's R order.
+    targets = np.unique(R)
+    delta = dm["delta"].to_numpy().reshape(len(targets), len(distinct))
+    rows = np.ascontiguousarray(delta[np.searchsorted(targets, R)].T)
+    return dict(zip(distinct.tolist(), rows))
 
 
 def run_joint_chain(

@@ -44,6 +44,17 @@ def bench_suite(scale: str = "bench") -> list[CSRGraph]:
     ]
 
 
+def stable_order(bc: np.ndarray) -> np.ndarray:
+    """Vertex ids by BC descending, ties to the lower id.
+
+    BC is first rounded to 9 digits relative to its maximum, so two sweeps
+    that differ only in float summation order give the same order.
+    """
+    top = float(np.max(bc)) if len(bc) else 0.0
+    key = np.round(bc / top, 9) if top > 0 else np.zeros_like(bc)
+    return np.lexsort((np.arange(len(bc)), -key))
+
+
 def roles_for(spark: SparkSession, g: CSRGraph) -> list[tuple[int, str]]:
     """Labelled probe vertices per graph: the known separator where the
     family has one, plus the empirical max-BC and a mid-BC vertex."""
@@ -57,12 +68,13 @@ def roles_for(spark: SparkSession, g: CSRGraph) -> list[tuple[int, str]]:
         if g.name.startswith(key):
             out.append((int(fn()), "separator"))
     bc = betweenness_vector(spark, g)
-    vmax = int(np.argmax(bc))
+    vmax = int(stable_order(bc)[0])
     if all(v != vmax for v, _ in out):
         out.append((vmax, "max-bc"))
     pos = np.flatnonzero(bc > 0)
     if len(pos):
-        vmid = int(pos[np.argsort(bc[pos])[len(pos) // 2]])
+        # The median of the positive-BC vertices (rank len(pos)//2 ascending).
+        vmid = int(pos[stable_order(bc[pos])[(len(pos) - 1) // 2]])
         if all(v != vmid for v, _ in out):
             out.append((vmid, "mid-bc"))
     return out
@@ -163,7 +175,7 @@ def table6(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
     rows: list[dict] = []
     for g in bench_suite(scale)[:4]:
         bc = betweenness_vector(spark, g)
-        order = np.argsort(bc)[::-1]
+        order = stable_order(bc)
         R = [int(order[0]), int(order[1]), int(order[len(order) // 4])]
         if bc[R[-1]] == 0:
             R[-1] = int(order[2])

@@ -1,4 +1,10 @@
 """Distributed exact Brandes ≡ pure-Python reference."""
+import importlib
+import os
+import sys
+import zipfile
+import zipimport
+
 import numpy as np
 import pytest
 from pyspark import SparkContext
@@ -6,10 +12,12 @@ from pyspark import SparkContext
 from repro.baselines.rk_sampler import rk_estimate
 from repro.bfs.local import dependency_vector
 from repro.brandes.exact import (
+    _drop_zip_importers,
     betweenness_all,
     betweenness_of,
     betweenness_vector,
     dependency_matrix,
+    map_chunks,
     normalized_bc,
 )
 from repro.brandes.reference import brandes_dependency
@@ -150,6 +158,51 @@ class TestSparkResources:
             assert labels == ["caller", "baselines.rk_estimate", "caller"]
         finally:
             orig(spark.sparkContext, None)
+
+
+class TestZipImporters:
+    """``importlib.invalidate_caches()`` re-reads the archive of every cached
+    zip importer; each ``map_chunks`` task leaves its worker with none."""
+
+    def test_drop_then_import_reads_no_archive(self, tmp_path, monkeypatch):
+        archive = tmp_path / "zipped.zip"
+        with zipfile.ZipFile(archive, "w") as z:
+            z.writestr("zipped_first.py", "VALUE = 1\n")
+            z.writestr("zipped_second.py", "VALUE = 2\n")
+        monkeypatch.syspath_prepend(str(archive))
+        for name in ("zipped_first", "zipped_second"):
+            monkeypatch.delitem(sys.modules, name, raising=False)
+        assert importlib.import_module("zipped_first").VALUE == 1
+        assert isinstance(sys.path_importer_cache[str(archive)], zipimport.zipimporter)
+
+        reads = []
+        read = zipimport._read_directory
+        monkeypatch.setattr(
+            zipimport, "_read_directory", lambda path: reads.append(path) or read(path)
+        )
+        importlib.invalidate_caches()
+        assert str(archive) in reads  # the cost being removed
+        reads.clear()
+
+        _drop_zip_importers()
+        assert not any(
+            isinstance(f, zipimport.zipimporter) for f in sys.path_importer_cache.values()
+        )
+        assert importlib.import_module("zipped_second").VALUE == 2
+        _drop_zip_importers()
+        importlib.invalidate_caches()
+        assert reads == []
+
+    def test_tasks_leave_no_zip_importers(self, spark):
+        def task(graph, chunk):
+            cache = sys.path_importer_cache.values()
+            return os.getpid(), sum(isinstance(f, zipimport.zipimporter) for f in cache)
+
+        chunks = list(range(spark.sparkContext.defaultParallelism))
+        first = map_chunks(spark, graph("path7"), chunks, task, "test.first")
+        second = map_chunks(spark, graph("path7"), chunks, task, "test.second")
+        reused = [count for pid, count in second if pid in {p for p, _ in first}]
+        assert reused and reused == [0] * len(reused)
 
 
 def test_betweenness_vector_bit_identical_between_runs(spark):

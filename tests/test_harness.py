@@ -110,3 +110,33 @@ class TestTableBuilders:
 
         out = tables.render(pd.DataFrame([{"a": 1}]), "T0")
         assert "T0" in out and "a" in out
+
+
+class TestStableOrder:
+    """Probe and target picks: BC descending, ties to the lower id, after
+    rounding, so float summation noise cannot change them."""
+
+    BC = np.array([0.0, 3.0, 5.0, 3.0, 5.0, 1.0, 3.0])
+
+    def nudged(self) -> np.ndarray:
+        """``BC`` with some tied entries moved by one ulp either way."""
+        bc = self.BC.copy()
+        bc[[4, 6]] = np.nextafter(bc[[4, 6]], np.inf)
+        bc[3] = np.nextafter(bc[3], 0)
+        return bc
+
+    def test_ties_go_to_lower_id(self):
+        assert tables.stable_order(self.BC).tolist() == [2, 4, 1, 3, 6, 5, 0]
+
+    def test_last_ulp_does_not_reorder(self):
+        assert np.array_equal(tables.stable_order(self.nudged()), tables.stable_order(self.BC))
+
+    def test_all_zero(self):
+        assert tables.stable_order(np.zeros(3)).tolist() == [0, 1, 2]
+
+    def test_roles_for_same_picks(self, monkeypatch):
+        picks = []
+        for bc in (self.BC, self.nudged()):
+            monkeypatch.setattr(tables, "betweenness_vector", lambda spark, g, bc=bc: bc)
+            picks.append(tables.roles_for(None, graph("path7")))
+        assert picks == [[(2, "max-bc"), (1, "mid-bc")]] * 2

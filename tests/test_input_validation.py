@@ -1,7 +1,9 @@
 """Bad arguments to the samplers raise ``ValueError`` before any Spark work."""
 import pytest
 
+from repro.baselines.distance_sampler import distance_distribution, distance_sampler_estimate
 from repro.baselines.rk_sampler import rk_estimate
+from repro.baselines.uniform_source import uniform_source_estimate
 from repro.core.mh_joint import mh_joint
 from repro.core.mh_single import mh_single
 from repro.graphs import generators as gen
@@ -11,6 +13,8 @@ from .conftest import graph
 # Each sampler takes (g, R, T); the single-target ones use r = R[0].
 SAMPLERS = {
     "rk_estimate": lambda g, R, T: rk_estimate(None, g, R[0], T, seed=1),
+    "uniform_source_estimate": lambda g, R, T: uniform_source_estimate(None, g, R[0], T, seed=1),
+    "distance_sampler_estimate": lambda g, R, T: distance_sampler_estimate(None, g, R[0], T, seed=1),
     "mh_single": lambda g, R, T: mh_single(None, g, R[0], T, seed=1),
     "mh_joint": lambda g, R, T: mh_joint(None, g, R, T, seed=1),
 }
@@ -45,3 +49,9 @@ class TestJointTargets:
     def test_member_out_of_range(self):
         with pytest.raises(ValueError, match="target 7 out of range"):
             mh_joint(None, graph("path7"), [3, 7], 100)
+
+
+@pytest.mark.parametrize("r", [-1, 7])
+def test_distance_distribution_target_out_of_range(r):
+    with pytest.raises(ValueError, match=f"target {r} out of range"):
+        distance_distribution(graph("path7"), r)
