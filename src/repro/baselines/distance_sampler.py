@@ -12,7 +12,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from ..bfs.local import bfs_sigma
-from ..brandes.exact import check_sampler_args, dependency_matrix
+from ..brandes.exact import check_sampler_args, dependency_matrix, score_table
 from ..graphs.csr import CSRGraph
 from .uniform_source import BaselineResult
 
@@ -40,7 +40,7 @@ def distance_sampler_estimate(
     T: int,
     *,
     seed: int = 0,
-    scores: dict[int, float] | None = None,
+    scores: np.ndarray | dict[int, float] | None = None,
 ) -> BaselineResult:
     """Estimate ``BC(r)`` from ``T`` distance-proportional samples.
 
@@ -51,13 +51,12 @@ def distance_sampler_estimate(
     rng = np.random.default_rng(seed)
     p = distance_distribution(g, r)
     samples = rng.choice(g.n, size=T, p=p)
-    scores = dict(scores) if scores else {}
-    missing = np.setdiff1d(np.unique(samples), np.array(sorted(scores), dtype=np.int64))
+    col = score_table(scores, g.n)
+    missing = np.unique(samples[np.isnan(col[samples])])
     if len(missing):
         dm = dependency_matrix(spark, g, [r], sources=missing)
-        scores.update(dict(zip(dm["s"].astype(int), dm["delta"].astype(float))))
-    vals = np.array([scores[int(s)] / p[int(s)] for s in samples])
-    est = float(vals.mean())
+        col[dm["s"].to_numpy()] = dm["delta"].to_numpy()
+    est = float((col[samples] / p[samples]).mean())
     return BaselineResult(
         r=int(r),
         T=T,

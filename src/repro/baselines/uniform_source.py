@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from ..brandes.exact import check_sampler_args, dependency_matrix
+from ..brandes.exact import check_sampler_args, dependency_matrix, score_table
 from ..graphs.csr import CSRGraph
 
 
@@ -35,7 +35,7 @@ def uniform_source_estimate(
     T: int,
     *,
     seed: int = 0,
-    scores: dict[int, float] | None = None,
+    scores: np.ndarray | dict[int, float] | None = None,
 ) -> BaselineResult:
     """Estimate ``BC(r)`` from ``T`` uniform source samples.
 
@@ -46,13 +46,12 @@ def uniform_source_estimate(
     rng = np.random.default_rng(seed)
     pool = np.setdiff1d(np.arange(g.n), [r])
     samples = pool[rng.integers(0, len(pool), size=T)]
-    scores = dict(scores) if scores else {}
-    missing = np.setdiff1d(np.unique(samples), np.array(sorted(scores), dtype=np.int64))
+    col = score_table(scores, g.n)
+    missing = np.unique(samples[np.isnan(col[samples])])
     if len(missing):
         dm = dependency_matrix(spark, g, [r], sources=missing)
-        scores.update(dict(zip(dm["s"].astype(int), dm["delta"].astype(float))))
-    vals = np.array([scores[int(s)] for s in samples])
-    est = float((g.n - 1) * vals.mean())
+        col[dm["s"].to_numpy()] = dm["delta"].to_numpy()
+    est = float((g.n - 1) * col[samples].mean())
     return BaselineResult(
         r=int(r),
         T=T,

@@ -155,6 +155,23 @@ def check_sampler_args(g: CSRGraph, R: Sequence[int], T: int) -> None:
         raise ValueError(f"R has duplicate vertices: {list(R)}")
 
 
+def score_table(scores: Any, n: int, k: int | None = None) -> np.ndarray:
+    """A sampler's own dense δ table, shape ``(n,)`` or ``(n, k = |R|)``, made
+    from ``scores``: None, an array of that shape (copied, never written) or
+    a dict ``{v: δ}`` / ``{v: δ-vector over R}``. NaN marks a vertex not yet
+    scored; the kernels never return NaN. ``ValueError`` on a wrong shape."""
+    shape = (n,) if k is None else (n, k)
+    if scores is None or isinstance(scores, dict):
+        table = np.full(shape, np.nan)
+        if scores:
+            table[list(scores)] = list(scores.values())
+        return table
+    table = np.array(scores, dtype=np.float64)
+    if table.shape != shape:
+        raise ValueError(f"score table has shape {table.shape}, expected {shape}")
+    return table
+
+
 def dependency_matrix(
     spark: SparkSession,
     g: CSRGraph,

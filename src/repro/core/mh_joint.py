@@ -8,8 +8,8 @@ Bennett's acceptance-ratio method in graph clothing.
 
 Distributed structure mirrors :mod:`repro.core.mh_single`: pre-drawn
 i.i.d. proposals, Spark scores each **distinct** proposed ``v`` with one
-Brandes pass that yields ``δ_v•(r)`` for every ``r ∈ R`` at once, the
-O(T) accept/reject scan runs on the driver.
+Brandes pass that yields ``δ_v•(r)`` for every ``r ∈ R`` at once into an
+``n × |R|`` δ table, and the shared O(T) scan runs on the driver.
 """
 from __future__ import annotations
 
@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from ..brandes.exact import check_sampler_args, dependency_matrix
+from ..brandes.exact import check_sampler_args, dependency_matrix, score_table
 from ..brandes.relative import min_ratio
 from ..graphs.csr import CSRGraph
 from .estimators import eq22_ratio, relative_score_estimate
+from .mh_single import _imh_scan, _last_accepted
 
 
 @dataclass(frozen=True)
@@ -47,17 +48,19 @@ class JointChainResult:
 
 
 def score_vertices_joint(
-    spark: SparkSession, g: CSRGraph, vertices: np.ndarray, R: list[int]
-) -> dict[int, np.ndarray]:
-    """``v → [δ_v•(r) for r in R]`` — one Brandes pass per distinct v."""
-    distinct = np.unique(vertices)
-    dm = dependency_matrix(spark, g, R, sources=distinct)
-    # dependency_matrix returns one run of sorted sources per sorted target;
-    # map the targets back to the caller's R order.
-    targets = np.unique(R)
-    delta = dm["delta"].to_numpy().reshape(len(targets), len(distinct))
-    rows = np.ascontiguousarray(delta[np.searchsorted(targets, R)].T)
-    return dict(zip(distinct.tolist(), rows))
+    spark: SparkSession,
+    g: CSRGraph,
+    vertices: np.ndarray,
+    R: list[int],
+    table: np.ndarray,
+) -> None:
+    """Write ``[δ_v•(r) for r in R]`` into ``table[v]`` for each distinct
+    ``v`` in ``vertices`` — one Brandes pass per ``v`` yields every ``r``."""
+    dm = dependency_matrix(spark, g, R, sources=np.unique(vertices))
+    R = np.asarray(R)
+    order = np.argsort(R)
+    j = order[np.searchsorted(R[order], dm["r"].to_numpy())]
+    table[dm["s"].to_numpy(), j] = dm["delta"].to_numpy()
 
 
 def run_joint_chain(
@@ -66,31 +69,16 @@ def run_joint_chain(
     uniforms: np.ndarray,
     r0_idx: int,
     v0: int,
-    scores: dict[int, np.ndarray],
+    table: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sequential Eq.-17 accept/reject scan (driver side).
-
-    Same zero-δ convention as the single-space chain. Returns
-    ``(r_idx_chain, v_chain, accepted)``.
-    """
-    T = len(prop_r)
-    r_idx = np.empty(T + 1, dtype=np.int64)
-    v = np.empty(T + 1, dtype=np.int64)
-    accepted = np.zeros(T, dtype=bool)
-    cur_r, cur_v = int(r0_idx), int(v0)
-    dcur = float(scores[cur_v][cur_r])
-    r_idx[0], v[0] = cur_r, cur_v
-    for t in range(T):
-        pr, pv = int(prop_r[t]), int(prop_v[t])
-        dprop = float(scores[pv][pr])
-        if dcur == 0.0:
-            move = True
-        else:
-            move = uniforms[t] < min(1.0, dprop / dcur)
-        if move:
-            cur_r, cur_v, dcur = pr, pv, dprop
-            accepted[t] = True
-        r_idx[t + 1], v[t + 1] = cur_r, cur_v
+    """Sequential Eq.-17 accept/reject scan (driver side), the single-space
+    chain's scan over the dense ``n × |R|`` table ``table[v, j] = δ_v•(R[j])``.
+    Returns ``(r_idx_chain, v_chain, accepted)``."""
+    k = table.shape[1]
+    cells = np.r_[int(v0) * k + int(r0_idx), prop_v * k + prop_r]
+    d = table.ravel()[cells]
+    accepted = _imh_scan(d[1:], uniforms, d[0])
+    v, r_idx = np.divmod(cells[_last_accepted(accepted)], k)
     return r_idx, v, accepted
 
 
@@ -101,15 +89,16 @@ def mh_joint(
     T: int,
     *,
     seed: int = 0,
-    scores: dict[int, np.ndarray] | None = None,
+    scores: np.ndarray | dict[int, np.ndarray] | None = None,
 ) -> JointChainResult:
     """Run the joint-space sampler for ``T`` iterations.
 
-    Deterministic in ``seed``. ``scores`` may carry a precomputed
-    ``v → δ-vector-over-R`` table (multi-chain coverage runs); missing
-    vertices are scored via Spark. Raises ``ValueError`` if ``R`` is empty,
-    has duplicates or a non-vertex, ``T < 1`` or ``g`` has fewer than 2
-    vertices.
+    Deterministic in ``seed``. ``scores`` may carry a precomputed δ table
+    (multi-chain coverage runs): an ``n × |R|`` array with NaN rows for
+    unscored vertices, or a dict ``v → δ-vector over R``. It is copied,
+    never written; missing vertices are scored via Spark. Raises
+    ``ValueError`` if ``R`` is empty, has duplicates or a non-vertex,
+    ``T < 1`` or ``g`` has fewer than 2 vertices.
     """
     check_sampler_args(g, R, T)
     k = len(R)
@@ -119,18 +108,17 @@ def mh_joint(
     prop_r = rng.integers(0, k, size=T)
     prop_v = rng.integers(0, g.n, size=T)
     uniforms = rng.random(T)
-    needed = np.unique(np.concatenate([[v0], prop_v]))
-    scores = dict(scores) if scores else {}
-    missing = np.array([v for v in needed if int(v) not in scores], dtype=np.int64)
+    table = score_table(scores, g.n, k)
+    needed = np.unique(np.r_[v0, prop_v])
+    missing = needed[np.isnan(table[needed]).any(axis=1)]
     if len(missing):
-        scores.update(score_vertices_joint(spark, g, missing, R))
+        score_vertices_joint(spark, g, missing, R, table)
     r_idx, v_chain, accepted = run_joint_chain(
-        prop_r, prop_v, uniforms, r0_idx, v0, scores
+        prop_r, prop_v, uniforms, r0_idx, v0, table
     )
-    delta_chain = np.stack([scores[int(v)] for v in v_chain])  # (T+1, k)
+    delta_chain = table[v_chain]  # (T+1, k)
     ratio = np.full((k, k), np.nan)
     relative = np.full((k, k), np.nan)
-    sizes = np.array([(r_idx == j).sum() for j in range(k)])
     for j in range(k):
         on_j = r_idx == j
         dj = delta_chain[on_j, j]
@@ -154,6 +142,6 @@ def mh_joint(
         accepted=accepted,
         ratio=ratio,
         relative=relative,
-        subchain_sizes=sizes,
+        subchain_sizes=np.bincount(r_idx, minlength=k),
         n_scored=len(missing),
     )

@@ -27,7 +27,7 @@ from ..brandes.relative import (
     relative_bc_eq23,
     single_space_limit,
 )
-from ..core.mh_joint import mh_joint
+from ..core.mh_joint import mh_joint, score_vertices_joint
 from ..core.mh_single import mh_single
 from ..core.theory import sample_budget, theorem1_tail
 from ..graphs.csr import CSRGraph
@@ -93,7 +93,6 @@ def single_accuracy_rows(
     ``mean(est)/nbc`` which Theorem 1's envelope bounds by ``μ(r)``.
     """
     col = dependency_column(spark, g, r)
-    scores = {v: float(col[v]) for v in range(g.n)}
     nbc = normalized_bc(float(col.sum()), g.n)
     limit = single_space_limit(col, g.n)
     mu = mu_r(col)
@@ -101,7 +100,7 @@ def single_accuracy_rows(
     for T in Ts:
         ests, accs = [], []
         for c in range(n_chains):
-            res = mh_single(spark, g, r, T, seed=seed0 + c, scores=scores)
+            res = mh_single(spark, g, r, T, seed=seed0 + c, scores=col)
             ests.append(res.estimate)
             accs.append(res.acceptance_rate)
         ests = np.array(ests)
@@ -140,14 +139,13 @@ def coverage_row(
     """One Table-4 row: run ``T`` from Eq. 14 and measure the empirical
     failure rate ``P[|B̈C − target| > ε]`` against both targets."""
     col = dependency_column(spark, g, r)
-    scores = {v: float(col[v]) for v in range(g.n)}
     mu = mu_r(col)
     T = sample_budget(epsilon, delta, mu)
     nbc = normalized_bc(float(col.sum()), g.n)
     limit = single_space_limit(col, g.n)
     ests = np.array(
         [
-            mh_single(spark, g, r, T, seed=seed0 + c, scores=scores).estimate
+            mh_single(spark, g, r, T, seed=seed0 + c, scores=col).estimate
             for c in range(n_chains)
         ]
     )
@@ -180,7 +178,6 @@ def baseline_rows(
     equal per-run sample budget ``T`` (one dependency pass ≙ one sample;
     one RK path ≙ one sample)."""
     col = dependency_column(spark, g, r)
-    scores = {v: float(col[v]) for v in range(g.n)}
     nbc = normalized_bc(float(col.sum()), g.n)
 
     def errs(fn) -> np.ndarray:
@@ -190,13 +187,13 @@ def baseline_rows(
 
     methods = {
         "mh (this paper)": lambda s: mh_single(
-            spark, g, r, T, seed=s, scores=scores
+            spark, g, r, T, seed=s, scores=col
         ).estimate,
         "uniform-source [2]": lambda s: uniform_source_estimate(
-            spark, g, r, T, seed=s, scores=scores
+            spark, g, r, T, seed=s, scores=col
         ).estimate_nbc,
         "distance [13]": lambda s: distance_sampler_estimate(
-            spark, g, r, T, seed=s, scores=scores
+            spark, g, r, T, seed=s, scores=col
         ).estimate_nbc,
         "rk paths [30]": lambda s: rk_estimate(spark, g, r, T, seed=s).estimate_nbc,
     }
@@ -229,21 +226,14 @@ def joint_rows(
 ) -> list[dict]:
     """Table-6 rows: Eq.-22 ratio error vs the exact BC ratio, and the
     relative-score estimate vs both exact targets, per ordered pair."""
-    dm = dependency_matrix(spark, g, list(R))
-    cols = {}
-    for r in R:
-        sub = dm[dm["r"] == r].sort_values("s")
-        c = np.zeros(g.n)
-        c[sub["s"].to_numpy()] = sub["delta"].to_numpy()
-        cols[int(r)] = c
-    scores = {
-        v: np.array([cols[int(r)][v] for r in R], dtype=float) for v in range(g.n)
-    }
-    bc = {int(r): float(cols[int(r)].sum()) for r in R}
+    table = np.empty((g.n, len(R)))
+    score_vertices_joint(spark, g, np.arange(g.n), list(R), table)
+    cols = {int(r): c for r, c in zip(R, np.ascontiguousarray(table.T))}
+    bc = {r: float(c.sum()) for r, c in cols.items()}
     rows = []
     for T in Ts:
         runs = [
-            mh_joint(spark, g, list(R), T, seed=seed0 + c, scores=scores)
+            mh_joint(spark, g, list(R), T, seed=seed0 + c, scores=table)
             for c in range(n_chains)
         ]
         for i, ri in enumerate(R):

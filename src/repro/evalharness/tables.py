@@ -44,15 +44,16 @@ def bench_suite(scale: str = "bench") -> list[CSRGraph]:
     ]
 
 
-def stable_order(bc: np.ndarray) -> np.ndarray:
-    """Vertex ids by BC descending, ties to the lower id.
-
-    BC is first rounded to 9 digits relative to its maximum, so two sweeps
-    that differ only in float summation order give the same order.
-    """
+def rounded_bc(bc: np.ndarray) -> np.ndarray:
+    """BC rounded to 9 digits relative to its maximum, so two sweeps that
+    differ only in float summation order give the same values."""
     top = float(np.max(bc)) if len(bc) else 0.0
-    key = np.round(bc / top, 9) if top > 0 else np.zeros_like(bc)
-    return np.lexsort((np.arange(len(bc)), -key))
+    return np.round(bc / top, 9) if top > 0 else np.zeros_like(bc)
+
+
+def stable_order(bc: np.ndarray) -> np.ndarray:
+    """Vertex ids by :func:`rounded_bc` descending, ties to the lower id."""
+    return np.lexsort((np.arange(len(bc)), -rounded_bc(bc)))
 
 
 def roles_for(spark: SparkSession, g: CSRGraph) -> list[tuple[int, str]]:
@@ -82,6 +83,8 @@ def roles_for(spark: SparkSession, g: CSRGraph) -> list[tuple[int, str]]:
 
 def table1(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
     """T1 — dataset summary."""
+    # Untimed warm-up (as in table7): row 1 must not absorb Spark's start-up.
+    betweenness_vector(spark, gen.barabasi_albert(300, 3, seed=1))
     return runner.to_frame(
         [runner.dataset_row(spark, g) for g in bench_suite(scale)]
     )
@@ -114,9 +117,11 @@ def table2(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
     for n in sizes["ba"]:
         g = gen.barabasi_albert(n, 3, seed=1)
         bc = betweenness_vector(spark, g)
-        rows.append(runner.mu_row(spark, g, int(np.argmax(bc)), "hub(max-bc)"))
-        pos = np.flatnonzero(bc > 0)
-        low = int(pos[np.argmin(bc[pos])])
+        rows.append(runner.mu_row(spark, g, int(stable_order(bc)[0]), "hub(max-bc)"))
+        # The lowest positive rounded BC, ties to the lower id.
+        key = rounded_bc(bc)
+        pos = np.flatnonzero(key > 0)
+        low = int(pos[np.argmin(key[pos])])
         rows.append(runner.mu_row(spark, g, low, "low-bc"))
     return runner.to_frame(rows)
 

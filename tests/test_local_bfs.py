@@ -171,6 +171,31 @@ class TestBfsBlock:
             assert np.array_equal(dist[s], d_ref) and np.array_equal(sigma[s], s_ref)
 
 
+class TestDependencySumIdentity:
+    """``Σ_v δ_s•(v) = Σ_{t ≠ s reachable} (d(s, t) − 1)``: each target ``t``
+    spreads one unit over each of the ``d(s, t) − 1`` inner positions of its
+    shortest paths. The identity does not depend on graph size."""
+
+    @staticmethod
+    def check(g, s, row):
+        dist, _ = bfs_sigma(g, s)
+        assert np.isclose(row.sum(), float((dist[dist > 0] - 1).sum()), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("key", sorted(SMALL_GRAPHS))
+    def test_small_graphs(self, key):
+        g = graph(key)
+        block = dependency_block(g, np.arange(g.n))
+        for s in range(g.n):
+            self.check(g, s, dependency_vector(g, s))
+            self.check(g, s, block[s])
+
+    def test_grid_100x100(self):
+        g = gen.grid_2d(100, 100)
+        s = 0  # a corner: the most shortest paths, σ up to C(198, 99)
+        self.check(g, s, dependency_vector(g, s))
+        self.check(g, s, dependency_block(g, [s])[0])
+
+
 class TestSigmaOverflow:
     """σ from vertex 0 of 1 100 diamonds is 2^1100: float64 overflows."""
 

@@ -29,7 +29,7 @@ def _top_vertices(key, k=3):
 
 class TestRunJointChain:
     def test_accept_higher(self):
-        scores = {0: np.array([1.0, 2.0]), 1: np.array([3.0, 0.5])}
+        scores = np.array([[1.0, 2.0], [3.0, 0.5]])
         r_idx, v, acc = run_joint_chain(
             np.array([0]), np.array([1]), np.array([0.999]), 1, 0, scores
         )
@@ -37,21 +37,21 @@ class TestRunJointChain:
         assert acc[0] and r_idx[1] == 0 and v[1] == 1
 
     def test_reject_zero(self):
-        scores = {0: np.array([1.0]), 1: np.array([0.0])}
+        scores = np.array([[1.0], [0.0]])
         r_idx, v, acc = run_joint_chain(
             np.array([0, 0]), np.array([1, 1]), np.zeros(2), 0, 0, scores
         )
         assert not acc.any() and (v == 0).all()
 
     def test_escape_zero_start(self):
-        scores = {0: np.array([0.0]), 1: np.array([4.0])}
+        scores = np.array([[0.0], [4.0]])
         _, v, acc = run_joint_chain(
             np.array([0]), np.array([1]), np.array([0.99]), 0, 0, scores
         )
         assert acc[0] and v[1] == 1
 
     def test_shapes(self):
-        scores = {v: np.array([1.0, 1.0]) for v in range(3)}
+        scores = np.ones((3, 2))
         r_idx, v, acc = run_joint_chain(
             np.array([0, 1, 0]), np.array([1, 2, 0]), np.zeros(3), 0, 0, scores
         )

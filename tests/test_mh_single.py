@@ -26,30 +26,30 @@ def _scores(key, r):
 
 class TestRunChain:
     def test_always_accept_higher_delta(self):
-        scores = {0: 1.0, 1: 5.0}
+        scores = np.array([1.0, 5.0])
         states, dchain, acc = run_chain(
             np.array([1]), np.array([0.999999]), 0, scores
         )
         assert acc[0] and states[1] == 1 and dchain[1] == 5.0
 
     def test_reject_zero_delta_proposal(self):
-        scores = {0: 1.0, 1: 0.0}
+        scores = np.array([1.0, 0.0])
         states, _, acc = run_chain(np.array([1, 1, 1]), np.full(3, 0.0), 0, scores)
         assert not acc.any() and (states == 0).all()
 
     def test_escape_zero_delta_start(self):
-        scores = {0: 0.0, 1: 2.0}
+        scores = np.array([0.0, 2.0])
         states, _, acc = run_chain(np.array([1]), np.array([0.99]), 0, scores)
         assert acc[0] and states[1] == 1
 
     def test_zero_to_zero_moves(self):
-        scores = {0: 0.0, 1: 0.0}
+        scores = np.array([0.0, 0.0])
         states, _, acc = run_chain(np.array([1]), np.array([0.5]), 0, scores)
         assert acc[0] and states[1] == 1
 
     def test_acceptance_probability_ratio(self):
         # From δ=4 to δ=1 the move probability is exactly 0.25.
-        scores = {0: 4.0, 1: 1.0}
+        scores = np.array([4.0, 1.0])
         T = 40_000
         rng = np.random.default_rng(3)
         props = np.ones(T, dtype=int)
@@ -62,7 +62,7 @@ class TestRunChain:
         assert abs(accepts / T - 0.25) < 0.01
 
     def test_chain_shapes(self):
-        scores = {v: 1.0 for v in range(4)}
+        scores = np.ones(4)
         states, dchain, acc = run_chain(
             np.array([1, 2, 3]), np.full(3, 0.0), 0, scores
         )
