@@ -210,32 +210,19 @@ def _check_finite(src, *rows: np.ndarray) -> None:
         )
 
 
-def dependency_on(g: CSRGraph, source: int, targets: np.ndarray) -> np.ndarray:
-    """``δ_source•(r)`` for each ``r`` in ``targets`` (one Brandes pass).
-
-    Key to the joint-space sampler: the dependency of one source on *all*
-    of ``R`` comes from a single O(|E|) computation.
-    """
-    return dependency_vector(g, source)[np.asarray(targets, dtype=np.int64)]
-
-
 def pair_dependency(g: CSRGraph, s: int, t: int, r: int) -> float:
     """``δ_st(r) = σ_st(r)/σ_st`` with the endpoint convention
     ``δ_st(r)=0`` for ``r ∈ {s, t}`` and 0 when ``t`` unreachable."""
     if r == s or r == t or s == t:
         return 0.0
     dist, sigma = bfs_sigma(g, s)
-    if dist[t] < 0 or sigma[t] == 0:
+    if dist[t] < 0 or sigma[t] == 0 or dist[r] < 0:
         return 0.0
-    if dist[r] < 0 or dist[r] + _dist_from(g, r, t) != dist[t]:
+    # r and t share s's component, so dist_r[t] is finite.
+    dist_r, sigma_r = bfs_sigma(g, r)
+    if dist[r] + dist_r[t] != dist[t]:
         return 0.0
-    sigma_rt = bfs_sigma(g, r)[1][t]
-    return float(sigma[r] * sigma_rt / sigma[t])
-
-
-def _dist_from(g: CSRGraph, a: int, b: int) -> int:
-    d, _ = bfs_sigma(g, a)
-    return int(d[b]) if d[b] >= 0 else 1 << 30
+    return float(sigma[r] * sigma_r[t] / sigma[t])
 
 
 def random_shortest_path(

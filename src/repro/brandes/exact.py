@@ -16,7 +16,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from ..bfs.local import block_size, dependency_block
 from ..graphs.csr import CSRGraph
@@ -124,17 +124,9 @@ def betweenness_vector(spark: SparkSession, g: CSRGraph) -> np.ndarray:
     return sum(parts, np.zeros(n))
 
 
-def betweenness_all(spark: SparkSession, g: CSRGraph) -> DataFrame:
-    """Exact ``BC(v)`` for every vertex: DataFrame ``id, bc``."""
-    bc = betweenness_vector(spark, g)
-    return spark.createDataFrame(
-        pd.DataFrame({"id": np.arange(g.n, dtype=np.int64), "bc": bc})
-    )
-
-
 def _vertex_ids(g: CSRGraph, ids: Sequence[int], what: str) -> np.ndarray:
     """Sorted distinct vertex ids; ``ValueError`` if any is outside ``[0, n)``."""
-    out = np.asarray(sorted(set(int(v) for v in ids)), dtype=np.int64)
+    out = np.unique(np.asarray(ids, dtype=np.int64))
     if len(out) and (out[0] < 0 or out[-1] >= g.n):
         bad = out[0] if out[0] < 0 else out[-1]
         raise ValueError(f"{what} {int(bad)} out of range [0, {g.n})")
@@ -210,12 +202,6 @@ def dependency_matrix(
             "delta": delta.T.ravel(),
         }
     )
-
-
-def betweenness_of(spark: SparkSession, g: CSRGraph, r: int) -> float:
-    """Exact ``BC(r)`` = Σ_s δ_s•(r) (distributed over sources)."""
-    dm = dependency_matrix(spark, g, [r])
-    return float(dm["delta"].sum())
 
 
 def normalized_bc(bc: float, n: int) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..baselines.distance_sampler import distance_sampler_estimate
@@ -273,7 +272,6 @@ def runtime_row(
     spark: SparkSession, g: CSRGraph, T: int, *, seed: int = 7
 ) -> dict:
     """One Table-7 row: real distributed sampling vs exact Brandes."""
-    bc = None
     t0 = time.perf_counter()
     bc = betweenness_vector(spark, g)
     exact_secs = time.perf_counter() - t0
@@ -292,8 +290,3 @@ def runtime_row(
         "speedup": round(exact_secs / mh_secs, 2) if mh_secs > 0 else float("inf"),
         "samples_per_sec": round(res.n_scored / mh_secs, 1) if mh_secs > 0 else 0.0,
     }
-
-
-def to_frame(rows: list[dict]) -> pd.DataFrame:
-    """Rows → tidy frame (stable column order from first row)."""
-    return pd.DataFrame(rows)

@@ -3,8 +3,8 @@
 Each ``tableN`` function takes a SparkSession plus a ``scale`` knob
 ("test" for CI-size inputs, "bench" for the sizes EXPERIMENTS.md
 reports) and returns a tidy pandas DataFrame with exactly the columns
-the corresponding table shows. ``jobs/tableN_*.py`` wrap them for
-spark-submit; ``benchmarks/test_tableN_*.py`` wrap them for
+the corresponding table shows. ``jobs/run_table.py --table N`` wraps
+them for spark-submit; ``benchmarks/test_tableN_*.py`` wrap them for
 pytest-benchmark and assert the shape claims.
 """
 from __future__ import annotations
@@ -85,7 +85,7 @@ def table1(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
     """T1 — dataset summary."""
     # Untimed warm-up (as in table7): row 1 must not absorb Spark's start-up.
     betweenness_vector(spark, gen.barabasi_albert(300, 3, seed=1))
-    return runner.to_frame(
+    return pd.DataFrame(
         [runner.dataset_row(spark, g) for g in bench_suite(scale)]
     )
 
@@ -123,7 +123,7 @@ def table2(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
         pos = np.flatnonzero(key > 0)
         low = int(pos[np.argmin(key[pos])])
         rows.append(runner.mu_row(spark, g, low, "low-bc"))
-    return runner.to_frame(rows)
+    return pd.DataFrame(rows)
 
 
 def table3(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
@@ -136,7 +136,7 @@ def table3(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
             rows += runner.single_accuracy_rows(
                 spark, g, r, role, Ts, n_chains=n_chains
             )
-    return runner.to_frame(rows)
+    return pd.DataFrame(rows)
 
 
 def table4(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
@@ -152,7 +152,7 @@ def table4(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
         g2 = gen.two_communities(400, p_in=0.02, seed=4)
         probes.append((g2, g2.n - 1, "separator"))
         probes.append((gen.path_graph(1001), 500, "middle"))
-    return runner.to_frame(
+    return pd.DataFrame(
         [
             runner.coverage_row(spark, g, r, role, n_chains=n_chains)
             for g, r, role in probes
@@ -170,7 +170,7 @@ def table5(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
             if role == "mid-bc":
                 continue  # keep the table focused on the paper's regime
             rows += runner.baseline_rows(spark, g, r, role, T, n_reps=n_reps)
-    return runner.to_frame(rows)
+    return pd.DataFrame(rows)
 
 
 def table6(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
@@ -185,7 +185,7 @@ def table6(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
         if bc[R[-1]] == 0:
             R[-1] = int(order[2])
         rows += runner.joint_rows(spark, g, R, Ts, n_chains=n_chains)
-    return runner.to_frame(rows)
+    return pd.DataFrame(rows)
 
 
 def table7(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
@@ -199,7 +199,7 @@ def table7(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
     # Untimed warm-up so the first timed row does not absorb Spark's
     # one-off costs (executor spin-up, broadcast machinery, JIT).
     runner.runtime_row(spark, gen.barabasi_albert(300, 3, seed=1), 100)
-    return runner.to_frame([runner.runtime_row(spark, g, T) for g in graphs])
+    return pd.DataFrame([runner.runtime_row(spark, g, T) for g in graphs])
 
 
 def render(df: pd.DataFrame, title: str) -> str:

@@ -88,30 +88,11 @@ def from_edges(n: int, edges: pd.DataFrame, *, name: str = "graph") -> CSRGraph:
     )
 
 
-def is_connected(g: CSRGraph) -> bool:
-    """True iff ``g`` is connected (BFS reachability from vertex 0)."""
-    if g.n == 0:
-        return True
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    nxt.append(int(w))
-        frontier = nxt
-    return bool(seen.all())
+def _component_labels(g: CSRGraph) -> np.ndarray:
+    """Connected-component label of every vertex, by BFS.
 
-
-def largest_component(g: CSRGraph) -> CSRGraph:
-    """The induced subgraph on the largest connected component of ``g``.
-
-    Vertices are relabelled ``0..n'-1`` preserving relative order. Used by
-    random-graph generators that may produce disconnected samples — the
-    paper assumes connected graphs (§2).
+    Components are numbered ``0, 1, …`` in order of their lowest vertex,
+    so vertex 0 is always in component 0.
     """
     label = np.full(g.n, -1, dtype=np.int64)
     comp = 0
@@ -129,12 +110,28 @@ def largest_component(g: CSRGraph) -> CSRGraph:
                         nxt.append(int(w))
             frontier = nxt
         comp += 1
-    sizes = np.bincount(label, minlength=comp)
+    return label
+
+
+def is_connected(g: CSRGraph) -> bool:
+    """True iff ``g`` is connected (every vertex in vertex 0's component)."""
+    return not _component_labels(g).any()
+
+
+def largest_component(g: CSRGraph) -> CSRGraph:
+    """The induced subgraph on the largest connected component of ``g``.
+
+    Vertices are relabelled ``0..n'-1`` preserving relative order. Used by
+    random-graph generators that may produce disconnected samples — the
+    paper assumes connected graphs (§2).
+    """
+    label = _component_labels(g)
+    sizes = np.bincount(label)
     keep = label == int(np.argmax(sizes))
     remap = np.cumsum(keep) - 1
     e = g.edge_pandas()
-    mask = keep[e["src"].to_numpy()] & keep[e["dst"].to_numpy()]
-    e = e[mask]
+    # Both ends of an edge share a component, so testing one end suffices.
+    e = e[keep[e["src"].to_numpy()]]
     out = pd.DataFrame(
         {"src": remap[e["src"].to_numpy()], "dst": remap[e["dst"].to_numpy()]}
     )

@@ -121,9 +121,7 @@ def erdos_renyi(n: int, p: float, *, seed: int = 0) -> CSRGraph:
     mask = g.random(len(iu[0])) < p
     pairs = np.stack([iu[0][mask], iu[1][mask]], axis=1)
     graph = from_edges(n, _edges_df(pairs), name=f"er-{n}-p{p}-s{seed}")
-    if not is_connected(graph):
-        graph = largest_component(graph)
-    return CSRGraph(graph.n, graph.indptr, graph.indices, name=f"er-{n}-p{p}-s{seed}")
+    return graph if is_connected(graph) else largest_component(graph)
 
 
 def barabasi_albert(n: int, m_attach: int, *, seed: int = 0) -> CSRGraph:

@@ -13,8 +13,6 @@ from repro.baselines.rk_sampler import rk_estimate
 from repro.bfs.local import dependency_vector
 from repro.brandes.exact import (
     _drop_zip_importers,
-    betweenness_all,
-    betweenness_of,
     betweenness_vector,
     dependency_matrix,
     map_chunks,
@@ -29,19 +27,6 @@ from .conftest import SMALL_GRAPHS, dep_column, exact_bc, graph
 @pytest.mark.parametrize("key", sorted(SMALL_GRAPHS))
 def test_betweenness_vector_matches_reference(spark, key):
     assert np.allclose(betweenness_vector(spark, graph(key)), exact_bc(key))
-
-
-def test_betweenness_all_schema(spark):
-    df = betweenness_all(spark, graph("er30"))
-    assert set(df.columns) == {"id", "bc"}
-    assert df.count() == graph("er30").n
-
-
-def test_betweenness_of_single_vertex(spark):
-    key = "ba30"
-    bc = exact_bc(key)
-    r = int(np.argmax(bc))
-    assert np.isclose(betweenness_of(spark, graph(key), r), bc[r])
 
 
 class TestDependencyMatrix:

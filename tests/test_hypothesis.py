@@ -89,6 +89,10 @@ def test_csr_roundtrip_random_edgelists(pairs):
     assert set(zip(back["src"], back["dst"])) == canon
     lc = largest_component(g)
     assert is_connected(lc)
+    # Oracle for the component labeller: BFS reachability from each vertex.
+    reach = [bfs_sigma(g, v)[0] >= 0 for v in range(g.n)]
+    assert is_connected(g) == bool(reach[0].all())
+    assert lc.n == max(int(r.sum()) for r in reach)
 
 
 @given(st.integers(0, 5000))
