@@ -1,12 +1,14 @@
 """Exact betweenness via Spark-distributed Brandes passes.
 
-The exact baseline of every table. Each call is one Spark job: the
-sources are cut into ``defaultParallelism`` contiguous chunks, each task
-sweeps its chunk with the batched kernel
-:func:`~repro.bfs.local.dependency_block` against a broadcast CSR, and
-the driver reduces the collected results in chunk order, so the result
-is identical from run to run at a given ``defaultParallelism``. This is
-the O(nm) computation the paper's samplers undercut.
+The exact baseline of every table. The sources of a call are cut into
+``defaultParallelism`` contiguous chunks, each chunk is swept with the
+batched kernel :func:`~repro.bfs.local.dependency_block`, and the driver
+reduces the per-chunk results in chunk order, so the result is identical
+from run to run at a given ``defaultParallelism``. A call whose sweep work
+exceeds :data:`LOCAL_WORK` runs its chunks as one Spark job against a
+broadcast CSR; a smaller one, which would cost less than the job around
+it, runs the same chunks on the driver, with bit-identical results. This
+is the O(nm) computation the paper's samplers undercut.
 """
 from __future__ import annotations
 
@@ -20,6 +22,12 @@ from pyspark.sql import SparkSession
 
 from ..bfs.local import block_size, dependency_block
 from ..graphs.csr import CSRGraph
+
+# Sweep elements, sources × (n + arcs), up to which an exact call runs on
+# the driver: the measured break-even against a Spark job's fixed cost
+# (BA-2000 on local[4]: 150 sources, 2.1 M elements, 0.176 s on Spark
+# against 0.166 s on the driver).
+LOCAL_WORK = 2**21
 
 
 def source_chunks(spark: SparkSession, sources: np.ndarray) -> list[np.ndarray]:
@@ -92,9 +100,12 @@ def _map_blocks(
     fold: Callable[[Iterator[np.ndarray]], np.ndarray],
     label: str,
 ) -> list[np.ndarray]:
-    """One job over :func:`source_chunks` of ``sources``: task ``i`` returns
-    ``fold`` of the :func:`dependency_block` outputs of chunk ``i``, one block
-    of :func:`block_size` sources at a time."""
+    """``fold`` of the :func:`dependency_block` outputs of each of the
+    :func:`source_chunks` of ``sources``, one block of :func:`block_size`
+    sources at a time, in chunk order. One Spark job labelled ``label``
+    (:func:`map_chunks`) when the sweep work exceeds :data:`LOCAL_WORK`;
+    otherwise the same chunks run in this process, with no job, broadcast
+    or job label."""
 
     def task(graph: CSRGraph, chunk: np.ndarray) -> np.ndarray:
         step = block_size(graph)
@@ -103,15 +114,19 @@ def _map_blocks(
             for i in range(0, len(chunk), step)
         )
 
-    return map_chunks(spark, g, source_chunks(spark, sources), task, label)
+    chunks = source_chunks(spark, sources)
+    if len(sources) * (g.n + len(g.indices)) <= LOCAL_WORK:
+        return [task(g, chunk) for chunk in chunks]
+    return map_chunks(spark, g, chunks, task, label)
 
 
 def betweenness_vector(spark: SparkSession, g: CSRGraph) -> np.ndarray:
     """Exact ``BC`` as a dense NumPy vector indexed by vertex id.
 
     Ordered-pair convention (matches :mod:`repro.brandes.reference`).
-    Each task sums the dependency vectors of its sources, so the driver
-    collects O(tasks · n) floats, not O(n²).
+    Each chunk's task sums the dependency vectors of its sources, so the
+    driver reduces O(chunks · n) floats, not O(n²). One Spark job, or none
+    for a graph whose sweep is at most :data:`LOCAL_WORK` elements.
     """
     n = g.n
 
@@ -180,8 +195,10 @@ def dependency_matrix(
     yields the dependency on *all* targets at once — the same trick the
     joint-space sampler relies on. Ground truth for ``P_r[·]`` (Eq. 5),
     ``μ(r)``, the bias envelope, and all exact relative-betweenness
-    quantities. Raises ``ValueError`` if ``targets`` is empty or a target
-    or source is not a vertex of ``g``.
+    quantities. One Spark job, or none when ``len(sources) · (n + arcs)``
+    is at most :data:`LOCAL_WORK`; the rows are the same either way.
+    Raises ``ValueError`` if ``targets`` is empty or a target or source is
+    not a vertex of ``g``.
     """
     tg = _vertex_ids(g, targets, "target")
     if not len(tg):

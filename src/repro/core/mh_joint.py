@@ -7,7 +7,7 @@ betweenness ratios (Eq. 22) and relative scores simultaneously —
 Bennett's acceptance-ratio method in graph clothing.
 
 Distributed structure mirrors :mod:`repro.core.mh_single`: pre-drawn
-i.i.d. proposals, Spark scores each **distinct** proposed ``v`` with one
+i.i.d. proposals, each **distinct** proposed ``v`` is scored with one
 Brandes pass that yields ``δ_v•(r)`` for every ``r ∈ R`` at once into an
 ``n × |R|`` δ table, and the shared O(T) scan runs on the driver.
 """
@@ -96,9 +96,9 @@ def mh_joint(
     Deterministic in ``seed``. ``scores`` may carry a precomputed δ table
     (multi-chain coverage runs): an ``n × |R|`` array with NaN rows for
     unscored vertices, or a dict ``v → δ-vector over R``. It is copied,
-    never written; missing vertices are scored via Spark. Raises
-    ``ValueError`` if ``R`` is empty, has duplicates or a non-vertex,
-    ``T < 1`` or ``g`` has fewer than 2 vertices.
+    never written; missing vertices are scored by ``dependency_matrix``.
+    Raises ``ValueError`` if ``R`` is empty, has duplicates or a
+    non-vertex, ``T < 1`` or ``g`` has fewer than 2 vertices.
     """
     check_sampler_args(g, R, T)
     k = len(R)

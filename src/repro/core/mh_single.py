@@ -5,10 +5,11 @@ Independence MH on the state space V(G): uniform proposals, acceptance
 
 Distributed execution exploits the *independence* structure: all ``T``
 proposals are i.i.d. uniform and can be pre-drawn, so the expensive part
-— one O(|E|) Brandes pass per **distinct** proposed vertex — fans out as
-one Spark job of batched Brandes sweeps over a broadcast CSR, while the
-inherently sequential accept/reject scan is O(T) float work on the
-driver. For ``T ≥ n`` at most ``n`` passes are computed regardless of
+— one O(|E|) Brandes pass per **distinct** proposed vertex — runs as one
+batch of Brandes sweeps (one Spark job over a broadcast CSR, or the driver
+when the batch costs less than a job; see :mod:`repro.brandes.exact`),
+while the inherently sequential accept/reject scan is O(T) float work on
+the driver. For ``T ≥ n`` at most ``n`` passes are computed regardless of
 chain length.
 
 Scores live in a dense δ table (NaN = not yet scored). Both samplers run
@@ -50,7 +51,7 @@ def score_vertices(
     spark: SparkSession, g: CSRGraph, vertices: np.ndarray, r: int, col: np.ndarray
 ) -> None:
     """Write ``δ_v•(r)`` into ``col[v]`` for each distinct ``v`` in
-    ``vertices`` — the Spark phase: one ``dependency_matrix`` job, one
+    ``vertices`` — the scoring phase: one ``dependency_matrix`` call, one
     Brandes pass per vertex."""
     dm = dependency_matrix(spark, g, [r], sources=np.unique(vertices))
     col[dm["s"].to_numpy()] = dm["delta"].to_numpy()
@@ -119,8 +120,9 @@ def mh_single(
     precomputed δ column (e.g. when running many chains on one graph —
     Table 4 coverage runs): an ``n``-vector with NaN for unscored
     vertices, or a dict ``{v: δ}``. It is copied, never written; any
-    missing vertex is scored via Spark. Raises ``ValueError`` if ``r`` is
-    not a vertex of ``g``, ``T < 1`` or ``g`` has fewer than 2 vertices.
+    missing vertex is scored by ``dependency_matrix``. Raises
+    ``ValueError`` if ``r`` is not a vertex of ``g``, ``T < 1`` or ``g``
+    has fewer than 2 vertices.
     """
     check_sampler_args(g, [r], T)
     rng = np.random.default_rng(seed)

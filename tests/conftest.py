@@ -6,11 +6,13 @@ exact BC) per graph so hundreds of tests stay fast.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from repro.brandes import exact
 from repro.brandes.reference import brandes_betweenness, brandes_dependency
 from repro.graphs import generators as gen
 from repro.graphs.csr import CSRGraph
@@ -54,3 +56,23 @@ def dep_column(key: str, r: int) -> np.ndarray:
 def any_graph(request) -> CSRGraph:
     """Every graph in the small suite, one at a time."""
     return graph(request.param)
+
+
+@pytest.fixture
+def on_spark(monkeypatch):
+    """Runs every exact call of the test as a Spark job, however small
+    (``exact.LOCAL_WORK = 0``), for tests of the Spark path itself."""
+    monkeypatch.setattr(exact, "LOCAL_WORK", 0)
+
+
+@contextmanager
+def job_group(spark, group: str):
+    """Runs the block under Spark job group ``group`` and yields a function
+    that returns the ids of the jobs the block has started so far."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        yield lambda: sc.statusTracker().getJobIdsForGroup(group)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)

@@ -11,6 +11,7 @@ from pyspark import SparkContext
 
 from repro.baselines.rk_sampler import rk_estimate
 from repro.bfs.local import dependency_vector
+from repro.brandes import exact
 from repro.brandes.exact import (
     _drop_zip_importers,
     betweenness_vector,
@@ -20,8 +21,10 @@ from repro.brandes.exact import (
 )
 from repro.brandes.reference import brandes_dependency
 from repro.graphs import generators as gen
+from repro.graphs.csr import from_edges
 
-from .conftest import SMALL_GRAPHS, dep_column, exact_bc, graph
+from .conftest import SMALL_GRAPHS, dep_column, exact_bc, graph, job_group
+from .test_local_bfs import graph_edges
 
 
 @pytest.mark.parametrize("key", sorted(SMALL_GRAPHS))
@@ -83,21 +86,36 @@ class TestDependencyMatrix:
         assert np.array_equal(dm["delta"].to_numpy(), want.T.ravel())
 
 
+@pytest.fixture
+def broadcasts(monkeypatch):
+    """Every broadcast created while the test runs."""
+    made = []
+    orig = SparkContext.broadcast
+
+    def spy(sc, value):
+        b = orig(sc, value)
+        made.append(b)
+        return b
+
+    monkeypatch.setattr(SparkContext, "broadcast", spy)
+    return made
+
+
+@pytest.fixture
+def job_labels(monkeypatch):
+    """Every Spark job description set while the test runs."""
+    labels = []
+    orig = SparkContext.setJobDescription
+
+    def spy(sc, value):
+        labels.append(value)
+        orig(sc, value)
+
+    monkeypatch.setattr(SparkContext, "setJobDescription", spy)
+    return labels
+
+
 class TestSparkResources:
-    @pytest.fixture
-    def broadcasts(self, monkeypatch):
-        """Every broadcast created while the test runs."""
-        made = []
-        orig = SparkContext.broadcast
-
-        def spy(sc, value):
-            b = orig(sc, value)
-            made.append(b)
-            return b
-
-        monkeypatch.setattr(SparkContext, "broadcast", spy)
-        return made
-
     @pytest.mark.parametrize(
         "call",
         [
@@ -107,23 +125,15 @@ class TestSparkResources:
         ],
         ids=["betweenness_vector", "dependency_matrix", "rk_estimate"],
     )
-    def test_broadcasts_destroyed(self, spark, broadcasts, call):
+    def test_broadcasts_destroyed(self, spark, on_spark, broadcasts, call):
         call(spark, graph("er30"))
         assert broadcasts
         assert not any(b._jbroadcast.isValid() for b in broadcasts)
 
-    def test_job_labelled_then_cleared(self, spark, monkeypatch):
-        labels = []
-        orig = SparkContext.setJobDescription
-
-        def spy(sc, value):
-            labels.append(value)
-            orig(sc, value)
-
-        monkeypatch.setattr(SparkContext, "setJobDescription", spy)
+    def test_job_labelled_then_cleared(self, spark, on_spark, job_labels):
         betweenness_vector(spark, graph("er30"))
         dependency_matrix(spark, graph("er30"), [0])
-        assert labels == [
+        assert job_labels == [
             "brandes.betweenness_vector", None, "brandes.dependency_matrix", None
         ]
         assert spark.sparkContext.getLocalProperty("spark.job.description") is None
@@ -143,6 +153,53 @@ class TestSparkResources:
             assert labels == ["caller", "baselines.rk_estimate", "caller"]
         finally:
             orig(spark.sparkContext, None)
+
+
+def _disconnected():
+    # Components {0, 1, 2} and {3, 4}; vertex 5 is isolated.
+    return from_edges(6, graph_edges([(0, 1), (1, 2), (3, 4)]))
+
+
+class TestDriverPath:
+    """Calls of at most ``LOCAL_WORK`` sweep elements run on the driver, with
+    the chunks, task and fold of the Spark job, so their results are the same
+    bit for bit."""
+
+    @pytest.mark.parametrize("key", sorted(SMALL_GRAPHS) + ["disconnected"])
+    def test_same_as_spark(self, spark, monkeypatch, key):
+        g = _disconnected() if key == "disconnected" else graph(key)
+
+        def run(local_work):
+            monkeypatch.setattr(exact, "LOCAL_WORK", local_work)
+            dm = dependency_matrix(spark, g, range(g.n))
+            return betweenness_vector(spark, g), dm["delta"].to_numpy()
+
+        (bc_driver, dm_driver), (bc_spark, dm_spark) = run(2**62), run(0)
+        assert np.array_equal(bc_driver, bc_spark)
+        assert np.array_equal(dm_driver, dm_spark)
+
+    def test_starts_no_job(self, spark, monkeypatch, broadcasts, job_labels):
+        with job_group(spark, "test.driver-path") as jobs:
+            betweenness_vector(spark, graph("er30"))
+            dependency_matrix(spark, graph("er30"), [0, 3])
+            assert jobs() == []
+            assert broadcasts == [] and job_labels == []
+            # The same group does see a job on the Spark path.
+            monkeypatch.setattr(exact, "LOCAL_WORK", 0)
+            betweenness_vector(spark, graph("er30"))
+            assert len(jobs()) == 1
+
+    def test_cutoff_is_inclusive(self, spark, monkeypatch, broadcasts):
+        g = graph("er30")
+        src = [1, 4, 9, 16, 25]
+        work = len(src) * (g.n + len(g.indices))
+        monkeypatch.setattr(exact, "LOCAL_WORK", work)
+        local = dependency_matrix(spark, g, [0], sources=src)
+        assert broadcasts == []
+        monkeypatch.setattr(exact, "LOCAL_WORK", work - 1)
+        remote = dependency_matrix(spark, g, [0], sources=src)
+        assert len(broadcasts) == 1
+        assert local.equals(remote)
 
 
 class TestZipImporters:

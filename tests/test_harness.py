@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from repro.brandes import exact
 from repro.evalharness import runner, tables
 from repro.graphs import generators as gen
 
@@ -104,6 +105,21 @@ class TestTableBuilders:
         df = tables.table1(spark, "test")
         assert len(df) == len(tables.bench_suite("test"))
         assert {"graph", "n", "m", "exact_bc_secs"} <= set(df.columns)
+
+    def test_bench_table7_runs_on_spark(self, spark, monkeypatch):
+        # T7 times the distributed path: every exact call it makes at bench
+        # scale, warm-up row included, is above exact.LOCAL_WORK. The kernel
+        # and the job are faked, since only the path taken is checked.
+        jobs = []
+        monkeypatch.setattr(exact, "dependency_block", lambda g, s: np.zeros((len(s), g.n)))
+        monkeypatch.setattr(
+            exact,
+            "map_chunks",
+            lambda spark, g, chunks, task, label: jobs.append(label)
+            or [task(g, c) for c in chunks],
+        )
+        tables.table7(spark, "bench")
+        assert jobs == ["brandes.betweenness_vector", "brandes.dependency_matrix"] * 5
 
     def test_render(self, spark):
         import pandas as pd

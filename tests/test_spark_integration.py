@@ -1,10 +1,14 @@
 """End-to-end sampler runs through the real Spark scoring phase."""
 import numpy as np
+import pytest
 
 from repro.core.mh_joint import mh_joint, score_vertices_joint
 from repro.core.mh_single import mh_single, score_vertices
 
 from .conftest import dep_column, exact_bc, graph
+
+# These graphs are below ``exact.LOCAL_WORK``; score them on Spark anyway.
+pytestmark = pytest.mark.usefixtures("on_spark")
 
 
 class TestScoreVertices:
