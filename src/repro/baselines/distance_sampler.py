@@ -12,7 +12,8 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from ..bfs.local import bfs_sigma
-from ..brandes.exact import check_sampler_args, dependency_matrix, score_table
+from ..brandes.exact import check_sampler_args, score_table
+from ..core.mh_single import score_vertices
 from ..graphs.csr import CSRGraph
 from .uniform_source import BaselineResult
 
@@ -54,8 +55,7 @@ def distance_sampler_estimate(
     col = score_table(scores, g.n)
     missing = np.unique(samples[np.isnan(col[samples])])
     if len(missing):
-        dm = dependency_matrix(spark, g, [r], sources=missing)
-        col[dm["s"].to_numpy()] = dm["delta"].to_numpy()
+        score_vertices(spark, g, missing, r, col)
     est = float((col[samples] / p[samples]).mean())
     return BaselineResult(
         r=int(r),

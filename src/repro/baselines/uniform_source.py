@@ -2,8 +2,9 @@
 
 Draw sources ``s ~ U(V \\ {r})`` i.i.d.; ``(n−1)·δ_s•(r)`` is an unbiased
 estimator of ``BC(r)``. The per-sample work (one Brandes pass per
-distinct source) fans out over Spark exactly like the MH scoring phase,
-so time-per-sample comparisons against the MH sampler are apples-to-apples.
+distinct source) runs through the MH sampler's own scoring phase
+(:func:`repro.core.mh_single.score_vertices`), so time-per-sample
+comparisons against the MH sampler are apples-to-apples.
 """
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from ..brandes.exact import check_sampler_args, dependency_matrix, score_table
+from ..brandes.exact import check_sampler_args, score_table
+from ..core.mh_single import score_vertices
 from ..graphs.csr import CSRGraph
 
 
@@ -49,8 +51,7 @@ def uniform_source_estimate(
     col = score_table(scores, g.n)
     missing = np.unique(samples[np.isnan(col[samples])])
     if len(missing):
-        dm = dependency_matrix(spark, g, [r], sources=missing)
-        col[dm["s"].to_numpy()] = dm["delta"].to_numpy()
+        score_vertices(spark, g, missing, r, col)
     est = float((g.n - 1) * col[samples].mean())
     return BaselineResult(
         r=int(r),

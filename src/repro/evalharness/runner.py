@@ -1,12 +1,15 @@
 """Experiment execution for the evaluation tables (see DESIGN.md).
 
-The accuracy experiments exploit a structural fact: for a fixed
-``(G, r)`` the full dependency column ``{δ_v•(r)}`` can be computed once
-(a Spark job of n Brandes passes) and then *every* chain, baseline rerun
-and exact target is derived from it without re-touching the graph — so
-multi-chain coverage runs cost O(T) floats per chain, not O(T·m).
-Runtime experiments (Table 7) deliberately do **not** use this shortcut:
-they measure the real distributed scoring path.
+The accuracy experiments exploit a structural fact: one Brandes pass from
+a source ``v`` yields ``δ_v•(r)`` for every target ``r`` at once (the
+joint-space trick of §4.3), so one sweep of all sources gives the dense
+``n × |R|`` table of every probe of a graph (:func:`exact_table`: a Spark
+job of n Brandes passes, or the driver for a small graph). Every chain,
+baseline rerun and exact target of a probe is then derived from its column
+without re-touching the graph, so multi-chain coverage runs cost O(T)
+floats per chain, not O(T·m). Runtime experiments (Table 7) deliberately
+do **not** use this shortcut: they measure the real distributed scoring
+path.
 """
 from __future__ import annotations
 
@@ -18,9 +21,8 @@ from pyspark.sql import SparkSession
 from ..baselines.distance_sampler import distance_sampler_estimate
 from ..baselines.rk_sampler import rk_estimate
 from ..baselines.uniform_source import uniform_source_estimate
-from ..brandes.exact import betweenness_vector, dependency_matrix, normalized_bc
+from ..brandes.exact import betweenness_vector, normalized_bc
 from ..brandes.relative import (
-    min_ratio,
     mu_r,
     relative_bc_chain,
     relative_bc_eq23,
@@ -32,13 +34,27 @@ from ..core.theory import sample_budget, theorem1_tail
 from ..graphs.csr import CSRGraph
 from ..graphs.properties import diameter
 
+Probes = list[tuple[int, str]]  # a graph's probe vertices with their roles
 
-def dependency_column(spark: SparkSession, g: CSRGraph, r: int) -> np.ndarray:
-    """Dense ``δ_v•(r)`` over all ``v`` (one distributed pass suite)."""
-    dm = dependency_matrix(spark, g, [r])
-    col = np.zeros(g.n)
-    col[dm["s"].to_numpy()] = dm["delta"].to_numpy()
-    return col
+
+def exact_table(spark: SparkSession, g: CSRGraph, R: list[int]) -> np.ndarray:
+    """``table[v, j] = δ_v•(R[j])`` for every vertex ``v``: the ground truth
+    of all of a graph's probes from one sweep of all sources (one
+    ``dependency_matrix`` call). Column ``j`` is bit-identical to
+    ``exact_table(spark, g, [R[j]])[:, 0]``. Raises ``ValueError`` if ``R``
+    is empty, has duplicates or a non-vertex."""
+    if len(set(R)) != len(R):
+        raise ValueError(f"R has duplicate vertices: {list(R)}")
+    table = np.empty((g.n, len(R)))
+    score_vertices_joint(spark, g, np.arange(g.n), list(R), table)
+    return table
+
+
+def _columns(spark: SparkSession, g: CSRGraph, probes: Probes) -> np.ndarray:
+    """The dense dependency column of each probe, one row each. The rows are
+    contiguous copies, so sums over a column add in the same order as over
+    a single-target table."""
+    return exact_table(spark, g, [r for r, _ in probes]).T.copy()
 
 
 def dataset_row(spark: SparkSession, g: CSRGraph, *, diam_sources: int = 32) -> dict:
@@ -57,29 +73,33 @@ def dataset_row(spark: SparkSession, g: CSRGraph, *, diam_sources: int = 32) -> 
     }
 
 
-def mu_row(spark: SparkSession, g: CSRGraph, r: int, role: str) -> dict:
-    """One Table-2 row: ``μ(r)`` and the quantities Theorem 2 speaks to."""
-    col = dependency_column(spark, g, r)
-    nbc = normalized_bc(float(col.sum()), g.n)
-    return {
-        "graph": g.name,
-        "n": g.n,
-        "m": g.m,
-        "r": int(r),
-        "role": role,
-        "mu": round(mu_r(col), 4),
-        "nbc": round(nbc, 6),
-        "eq14_T(eps=.05,delta=.1)": sample_budget(0.05, 0.1, mu_r(col))
-        if np.isfinite(mu_r(col))
-        else -1,
-    }
+def mu_rows(spark: SparkSession, g: CSRGraph, probes: Probes) -> list[dict]:
+    """Table-2 rows, one per probe: ``μ(r)`` and the quantities Theorem 2
+    speaks to."""
+    rows = []
+    for (r, role), col in zip(probes, _columns(spark, g, probes)):
+        mu = mu_r(col)
+        rows.append(
+            {
+                "graph": g.name,
+                "n": g.n,
+                "m": g.m,
+                "r": int(r),
+                "role": role,
+                "mu": round(mu, 4),
+                "nbc": round(normalized_bc(float(col.sum()), g.n), 6),
+                "eq14_T(eps=.05,delta=.1)": sample_budget(0.05, 0.1, mu)
+                if np.isfinite(mu)
+                else -1,
+            }
+        )
+    return rows
 
 
 def single_accuracy_rows(
     spark: SparkSession,
     g: CSRGraph,
-    r: int,
-    role: str,
+    probes: Probes,
     Ts: list[int],
     *,
     n_chains: int = 20,
@@ -87,40 +107,41 @@ def single_accuracy_rows(
 ) -> list[dict]:
     """Table-3 rows: single-space estimates vs both exact targets.
 
-    For each ``T``: mean estimate, mean |err| against ``nbc(r)`` and
-    against the ergodic limit ``E_π[f]``, and the multiplicative bias
-    ``mean(est)/nbc`` which Theorem 1's envelope bounds by ``μ(r)``.
+    For each probe and each ``T``: mean estimate, mean |err| against
+    ``nbc(r)`` and against the ergodic limit ``E_π[f]``, and the
+    multiplicative bias ``mean(est)/nbc`` which Theorem 1's envelope bounds
+    by ``μ(r)``.
     """
-    col = dependency_column(spark, g, r)
-    nbc = normalized_bc(float(col.sum()), g.n)
-    limit = single_space_limit(col, g.n)
-    mu = mu_r(col)
     rows = []
-    for T in Ts:
-        ests, accs = [], []
-        for c in range(n_chains):
-            res = mh_single(spark, g, r, T, seed=seed0 + c, scores=col)
-            ests.append(res.estimate)
-            accs.append(res.acceptance_rate)
-        ests = np.array(ests)
-        rows.append(
-            {
-                "graph": g.name,
-                "r": int(r),
-                "role": role,
-                "mu": round(mu, 3),
-                "T": T,
-                "nbc_exact": round(nbc, 6),
-                "E_pi_f": round(limit, 6),
-                "mean_est": round(float(ests.mean()), 6),
-                "mae_vs_nbc": round(float(np.abs(ests - nbc).mean()), 6),
-                "mae_vs_limit": round(float(np.abs(ests - limit).mean()), 6),
-                "bias_factor": round(float(ests.mean()) / nbc, 4)
-                if nbc > 0
-                else float("nan"),
-                "acc_rate": round(float(np.mean(accs)), 3),
-            }
-        )
+    for (r, role), col in zip(probes, _columns(spark, g, probes)):
+        nbc = normalized_bc(float(col.sum()), g.n)
+        limit = single_space_limit(col, g.n)
+        mu = mu_r(col)
+        for T in Ts:
+            ests, accs = [], []
+            for c in range(n_chains):
+                res = mh_single(spark, g, r, T, seed=seed0 + c, scores=col)
+                ests.append(res.estimate)
+                accs.append(res.acceptance_rate)
+            ests = np.array(ests)
+            rows.append(
+                {
+                    "graph": g.name,
+                    "r": int(r),
+                    "role": role,
+                    "mu": round(mu, 3),
+                    "T": T,
+                    "nbc_exact": round(nbc, 6),
+                    "E_pi_f": round(limit, 6),
+                    "mean_est": round(float(ests.mean()), 6),
+                    "mae_vs_nbc": round(float(np.abs(ests - nbc).mean()), 6),
+                    "mae_vs_limit": round(float(np.abs(ests - limit).mean()), 6),
+                    "bias_factor": round(float(ests.mean()) / nbc, 4)
+                    if nbc > 0
+                    else float("nan"),
+                    "acc_rate": round(float(np.mean(accs)), 3),
+                }
+            )
     return rows
 
 
@@ -137,7 +158,7 @@ def coverage_row(
 ) -> dict:
     """One Table-4 row: run ``T`` from Eq. 14 and measure the empirical
     failure rate ``P[|B̈C − target| > ε]`` against both targets."""
-    col = dependency_column(spark, g, r)
+    col = exact_table(spark, g, [r])[:, 0]
     mu = mu_r(col)
     T = sample_budget(epsilon, delta, mu)
     nbc = normalized_bc(float(col.sum()), g.n)
@@ -166,51 +187,49 @@ def coverage_row(
 def baseline_rows(
     spark: SparkSession,
     g: CSRGraph,
-    r: int,
-    role: str,
+    probes: Probes,
     T: int,
     *,
     n_reps: int = 10,
     seed0: int = 900,
 ) -> list[dict]:
-    """Table-5 rows: each method's mean relative error of ``nbc(r)`` at an
-    equal per-run sample budget ``T`` (one dependency pass ≙ one sample;
-    one RK path ≙ one sample)."""
-    col = dependency_column(spark, g, r)
-    nbc = normalized_bc(float(col.sum()), g.n)
-
-    def errs(fn) -> np.ndarray:
-        return np.array(
-            [abs(fn(seed0 + i) - nbc) / nbc if nbc > 0 else np.nan for i in range(n_reps)]
-        )
-
-    methods = {
-        "mh (this paper)": lambda s: mh_single(
-            spark, g, r, T, seed=s, scores=col
-        ).estimate,
-        "uniform-source [2]": lambda s: uniform_source_estimate(
-            spark, g, r, T, seed=s, scores=col
-        ).estimate_nbc,
-        "distance [13]": lambda s: distance_sampler_estimate(
-            spark, g, r, T, seed=s, scores=col
-        ).estimate_nbc,
-        "rk paths [30]": lambda s: rk_estimate(spark, g, r, T, seed=s).estimate_nbc,
-    }
+    """Table-5 rows: per probe, each method's mean relative error of
+    ``nbc(r)`` at an equal per-run sample budget ``T`` (one dependency pass
+    ≙ one sample; one RK path ≙ one sample)."""
     out = []
-    for name, fn in methods.items():
-        e = errs(fn)
-        out.append(
-            {
-                "graph": g.name,
-                "r": int(r),
-                "role": role,
-                "T": T,
-                "method": name,
-                "nbc_exact": round(nbc, 6),
-                "mean_rel_err": round(float(np.nanmean(e)), 4),
-                "max_rel_err": round(float(np.nanmax(e)), 4),
-            }
-        )
+    for (r, role), col in zip(probes, _columns(spark, g, probes)):
+        nbc = normalized_bc(float(col.sum()), g.n)
+        methods = {
+            "mh (this paper)": lambda s: mh_single(
+                spark, g, r, T, seed=s, scores=col
+            ).estimate,
+            "uniform-source [2]": lambda s: uniform_source_estimate(
+                spark, g, r, T, seed=s, scores=col
+            ).estimate_nbc,
+            "distance [13]": lambda s: distance_sampler_estimate(
+                spark, g, r, T, seed=s, scores=col
+            ).estimate_nbc,
+            "rk paths [30]": lambda s: rk_estimate(spark, g, r, T, seed=s).estimate_nbc,
+        }
+        for name, fn in methods.items():
+            e = np.array(
+                [
+                    abs(fn(seed0 + i) - nbc) / nbc if nbc > 0 else np.nan
+                    for i in range(n_reps)
+                ]
+            )
+            out.append(
+                {
+                    "graph": g.name,
+                    "r": int(r),
+                    "role": role,
+                    "T": T,
+                    "method": name,
+                    "nbc_exact": round(nbc, 6),
+                    "mean_rel_err": round(float(np.nanmean(e)), 4),
+                    "max_rel_err": round(float(np.nanmax(e)), 4),
+                }
+            )
     return out
 
 
@@ -225,8 +244,7 @@ def joint_rows(
 ) -> list[dict]:
     """Table-6 rows: Eq.-22 ratio error vs the exact BC ratio, and the
     relative-score estimate vs both exact targets, per ordered pair."""
-    table = np.empty((g.n, len(R)))
-    score_vertices_joint(spark, g, np.arange(g.n), list(R), table)
+    table = exact_table(spark, g, R)
     cols = {int(r): c for r, c in zip(R, np.ascontiguousarray(table.T))}
     bc = {r: float(c.sum()) for r, c in cols.items()}
     rows = []

@@ -102,28 +102,26 @@ def table2(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
                  "ba": [500, 1000, 2000, 4000]}
     rows = []
     for k in sizes["barbell"]:
-        g = gen.barbell(k)
-        rows.append(runner.mu_row(spark, g, k, "separator"))
+        rows += runner.mu_rows(spark, gen.barbell(k), [(k, "separator")])
     for n in sizes["star"]:
-        rows.append(runner.mu_row(spark, gen.star_graph(n), 0, "separator"))
+        rows += runner.mu_rows(spark, gen.star_graph(n), [(0, "separator")])
     for k in sizes["2comm"]:
         g = gen.two_communities(k, p_in=min(1.0, 10.0 / k), seed=4)
-        rows.append(runner.mu_row(spark, g, g.n - 1, "separator"))
+        rows += runner.mu_rows(spark, g, [(g.n - 1, "separator")])
     for n in sizes["path"]:
-        rows.append(runner.mu_row(spark, gen.path_graph(n), n // 2, "middle"))
-        rows.append(runner.mu_row(spark, gen.path_graph(n), n // 10, "off-center"))
         # Anti-example: separating off a single leaf violates Theorem 2's
         # balance condition, and μ(r) must grow ~n/2.
-        rows.append(runner.mu_row(spark, gen.path_graph(n), 1, "near-leaf"))
+        probes = [(n // 2, "middle"), (n // 10, "off-center"), (1, "near-leaf")]
+        rows += runner.mu_rows(spark, gen.path_graph(n), probes)
     for n in sizes["ba"]:
         g = gen.barabasi_albert(n, 3, seed=1)
         bc = betweenness_vector(spark, g)
-        rows.append(runner.mu_row(spark, g, int(stable_order(bc)[0]), "hub(max-bc)"))
         # The lowest positive rounded BC, ties to the lower id.
         key = rounded_bc(bc)
         pos = np.flatnonzero(key > 0)
         low = int(pos[np.argmin(key[pos])])
-        rows.append(runner.mu_row(spark, g, low, "low-bc"))
+        probes = [(int(stable_order(bc)[0]), "hub(max-bc)"), (low, "low-bc")]
+        rows += runner.mu_rows(spark, g, probes)
     return pd.DataFrame(rows)
 
 
@@ -133,10 +131,9 @@ def table3(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
     n_chains = 5 if scale == "test" else 20
     rows: list[dict] = []
     for g in bench_suite(scale):
-        for r, role in roles_for(spark, g):
-            rows += runner.single_accuracy_rows(
-                spark, g, r, role, Ts, n_chains=n_chains
-            )
+        rows += runner.single_accuracy_rows(
+            spark, g, roles_for(spark, g), Ts, n_chains=n_chains
+        )
     return pd.DataFrame(rows)
 
 
@@ -167,10 +164,9 @@ def table5(spark: SparkSession, scale: str = "bench") -> pd.DataFrame:
     n_reps = 5 if scale == "test" else 10
     rows: list[dict] = []
     for g in bench_suite(scale):
-        for r, role in roles_for(spark, g):
-            if role == "mid-bc":
-                continue  # keep the table focused on the paper's regime
-            rows += runner.baseline_rows(spark, g, r, role, T, n_reps=n_reps)
+        # Mid-BC probes are left out to keep the table on the paper's regime.
+        probes = [(r, role) for r, role in roles_for(spark, g) if role != "mid-bc"]
+        rows += runner.baseline_rows(spark, g, probes, T, n_reps=n_reps)
     return pd.DataFrame(rows)
 
 

@@ -32,10 +32,6 @@ class CSRGraph:
         """Number of undirected edges."""
         return len(self.indices) // 2
 
-    def degree(self, v: int) -> int:
-        """Degree of vertex ``v``."""
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def degrees(self) -> np.ndarray:
         """Degree of every vertex, as an int64 array of length ``n``."""
         return np.diff(self.indptr).astype(np.int64)

@@ -4,15 +4,14 @@ Canonical schemas:
 
 * **undirected edge table** — one row per edge, ``src < dst`` (what the
   generators emit, what the DuckDB oracle sees);
-* **symmetric edge table** — both directions materialised, the form every
-  DataFrame graph algorithm (BFS, label propagation) joins against.
+* **symmetric edge table** — both directions materialised, the form the
+  DataFrame BFS and dependency kernels join against.
 
-All helpers are pure DataFrame/Catalyst operations so their results can be
+Both helpers are pure DataFrame/Catalyst operations so their results can be
 cross-checked with :func:`repro.oracle.assert_equivalent`.
 """
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -30,26 +29,3 @@ def symmetric_edges(edges: DataFrame) -> DataFrame:
     return edges.select("src", "dst").unionAll(
         edges.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
     )
-
-
-def vertices(spark: SparkSession, g: CSRGraph) -> DataFrame:
-    """Vertex table ``id: long`` for ``0..n-1``."""
-    return spark.createDataFrame(pd.DataFrame({"id": range(g.n)}))
-
-
-def degrees(edges: DataFrame) -> DataFrame:
-    """Degree of every vertex with at least one edge: ``id``, ``degree``.
-
-    Computed from the undirected edge table by exploding both endpoints —
-    a pure relational formulation the DuckDB oracle can replicate.
-    """
-    return (
-        symmetric_edges(edges)
-        .groupBy(F.col("src").alias("id"))
-        .agg(F.count("*").alias("degree"))
-    )
-
-
-def edge_count(edges: DataFrame) -> int:
-    """Number of undirected edges."""
-    return edges.count()

@@ -46,11 +46,6 @@ class TestFromEdges:
         g = graph("er30")
         assert int(g.degrees().sum()) == 2 * g.m
 
-    def test_degree_matches_degrees(self):
-        g = graph("ba30")
-        for v in range(g.n):
-            assert g.degree(v) == g.degrees()[v]
-
 
 class TestEdgePandas:
     @pytest.mark.parametrize("key", sorted(SMALL_GRAPHS))

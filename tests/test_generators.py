@@ -18,11 +18,11 @@ class TestExactCounts:
     def test_star(self):
         g = gen.star_graph(10)
         assert g.n == 10 and g.m == 9
-        assert g.degree(0) == 9 and all(g.degree(v) == 1 for v in range(1, 10))
+        assert g.degrees()[0] == 9 and all(g.degrees()[v] == 1 for v in range(1, 10))
 
     def test_complete(self):
         g = gen.complete_graph(7)
-        assert g.m == 21 and all(g.degree(v) == 6 for v in range(7))
+        assert g.m == 21 and all(g.degrees()[v] == 6 for v in range(7))
 
     def test_grid(self):
         g = gen.grid_2d(4, 5)
@@ -33,7 +33,7 @@ class TestExactCounts:
         g = gen.barbell(k)
         assert g.n == 2 * k + 1
         assert g.m == 2 * (k * (k - 1) // 2) + 2
-        assert g.degree(k) == 2  # the separator touches both cliques
+        assert g.degrees()[k] == 2  # the separator touches both cliques
 
     def test_barbell_long_bridge(self):
         g = gen.barbell(4, bridge=3)
@@ -50,11 +50,11 @@ class TestExactCounts:
 
     def test_wheel(self):
         g = gen.wheel_graph(8)
-        assert g.n == 8 and g.m == 14 and g.degree(0) == 7
+        assert g.n == 8 and g.m == 14 and g.degrees()[0] == 7
 
     def test_two_communities_hub_degree(self):
         g = gen.two_communities(12, seed=0)
-        assert g.degree(g.n - 1) == 24  # hub adjacent to everyone
+        assert g.degrees()[g.n - 1] == 24  # hub adjacent to everyone
 
     def test_ba_edge_count(self):
         n, m_attach = 60, 3

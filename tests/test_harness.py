@@ -6,7 +6,7 @@ from repro.brandes import exact
 from repro.evalharness import runner, tables
 from repro.graphs import generators as gen
 
-from .conftest import exact_bc, graph
+from .conftest import dep_column, graph
 
 
 @pytest.fixture(scope="module")
@@ -16,11 +16,31 @@ def small_barbell():
 
 class TestRunnerPieces:
     def test_dependency_column(self, spark):
-        key = "er30"
-        col = runner.dependency_column(spark, graph(key), 0)
-        from .conftest import dep_column
+        # Column j of the exact table is the dependency column δ_•(R[j]).
+        key, R = "er30", [7, 0, 29, 12]
+        table = runner.exact_table(spark, graph(key), R)
+        assert table.shape == (30, len(R))
+        for j, r in enumerate(R):
+            assert np.allclose(table[:, j], dep_column(key, r))
 
-        assert np.allclose(col, dep_column(key, 0))
+    @pytest.mark.parametrize("path", ["driver", "spark"])
+    def test_exact_table_columns_are_single_target_tables(self, spark, request, path):
+        if path == "spark":
+            request.getfixturevalue("on_spark")
+        g = gen.barabasi_albert(200, 3, seed=1)
+        R = [5, 0, 17, 3]
+        table = runner.exact_table(spark, g, R)
+        for j, r in enumerate(R):
+            assert np.array_equal(table[:, j], runner.exact_table(spark, g, [r])[:, 0])
+
+    @pytest.mark.parametrize(
+        "R,match",
+        [([8, 8, 0], "duplicate"), ([0, 17], "out of range"), ([], "empty")],
+        ids=["duplicate", "out-of-range", "empty"],
+    )
+    def test_exact_table_rejects_bad_targets(self, spark, small_barbell, R, match):
+        with pytest.raises(ValueError, match=match):
+            runner.exact_table(spark, small_barbell, R)
 
     def test_dataset_row_fields(self, spark, small_barbell):
         row = runner.dataset_row(spark, small_barbell, diam_sources=8)
@@ -28,13 +48,13 @@ class TestRunnerPieces:
         assert row["diameter>="] >= 3 and row["exact_bc_secs"] > 0
 
     def test_mu_row_separator(self, spark, small_barbell):
-        row = runner.mu_row(spark, small_barbell, 8, "separator")
+        (row,) = runner.mu_rows(spark, small_barbell, [(8, "separator")])
         assert row["mu"] == pytest.approx(17 / 16, abs=1e-3)
         assert row["eq14_T(eps=.05,delta=.1)"] > 0
 
     def test_single_accuracy_rows(self, spark, small_barbell):
         rows = runner.single_accuracy_rows(
-            spark, small_barbell, 8, "separator", [200, 800], n_chains=4
+            spark, small_barbell, [(8, "separator")], [200, 800], n_chains=4
         )
         assert len(rows) == 2
         for row in rows:
@@ -51,7 +71,7 @@ class TestRunnerPieces:
 
     def test_baseline_rows_all_methods(self, spark, small_barbell):
         rows = runner.baseline_rows(
-            spark, small_barbell, 8, "separator", 150, n_reps=3
+            spark, small_barbell, [(8, "separator")], 150, n_reps=3
         )
         assert {r["method"] for r in rows} == {
             "mh (this paper)",
@@ -68,6 +88,16 @@ class TestRunnerPieces:
         for row in rows:
             assert row["exact_ratio"] > 0
             assert np.isfinite(row["est_ratio"])
+
+    def test_joint_rows_rejects_duplicate_targets(self, spark, small_barbell, monkeypatch):
+        # A duplicate target would leave a column of the exact table
+        # unwritten, so it is refused before any sweep.
+        def no_sweep(*args):
+            raise AssertionError("swept before the targets were checked")
+
+        monkeypatch.setattr(exact, "_map_blocks", no_sweep)
+        with pytest.raises(ValueError, match="duplicate"):
+            runner.joint_rows(spark, small_barbell, [8, 8, 0], [400], n_chains=3)
 
     def test_runtime_row(self, spark):
         row = runner.runtime_row(spark, gen.barabasi_albert(80, 2, seed=1), 60)
@@ -120,6 +150,26 @@ class TestTableBuilders:
         )
         tables.table7(spark, "bench")
         assert jobs == ["brandes.betweenness_vector", "brandes.dependency_matrix"] * 5
+
+    @pytest.mark.parametrize(
+        "table,n_bc", [(tables.table2, 2), (tables.table3, 8)], ids=["T2", "T3"]
+    )
+    def test_one_exact_table_per_graph(self, spark, monkeypatch, table, n_bc):
+        # All of a graph's probes share one dependency_matrix sweep; BC is
+        # swept only where the probes are picked from it (T2's BA graphs,
+        # every T3 graph through roles_for).
+        calls = []
+        map_blocks = exact._map_blocks
+
+        def spy(spark, g, sources, fold, label):
+            calls.append((label, g.name))
+            return map_blocks(spark, g, sources, fold, label)
+
+        monkeypatch.setattr(exact, "_map_blocks", spy)
+        df = table(spark, "test")
+        swept = [name for label, name in calls if label == "brandes.dependency_matrix"]
+        assert sorted(swept) == sorted(set(df["graph"]))
+        assert len(calls) == len(swept) + n_bc
 
     def test_render(self, spark):
         import pandas as pd

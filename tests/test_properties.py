@@ -1,48 +1,8 @@
-"""Graph-property DataFrame computations (components, diameter)."""
-import pandas as pd
+"""Graph properties (diameter)."""
 import pytest
-from pyspark.sql import functions as F
 
 from repro.graphs import generators as gen
-from repro.graphs.csr import from_edges
-from repro.graphs.properties import connected_components, diameter
-from repro.graphs.spark_io import edges_spark
-from repro.oracle import assert_equivalent
-
-from .conftest import graph
-
-
-class TestConnectedComponents:
-    def test_single_component(self, spark):
-        g = graph("er30")
-        cc = connected_components(edges_spark(spark, g))
-        assert cc.select("component").distinct().count() == 1
-
-    def test_two_components(self, spark):
-        g = from_edges(
-            6, pd.DataFrame({"src": [0, 1, 3, 4], "dst": [1, 2, 4, 5]})
-        )
-        cc = connected_components(edges_spark(spark, g))
-        labels = {row["id"]: row["component"] for row in cc.collect()}
-        assert labels[0] == labels[1] == labels[2] == 0
-        assert labels[3] == labels[4] == labels[5] == 3
-
-    def test_component_is_min_reachable_id(self, spark):
-        g = graph("cycle9")
-        cc = connected_components(edges_spark(spark, g))
-        assert cc.where(F.col("component") != 0).count() == 0
-
-    def test_oracle_count_per_component(self, spark):
-        g = from_edges(
-            5, pd.DataFrame({"src": [0, 1, 3], "dst": [1, 2, 4]})
-        )
-        cc = connected_components(edges_spark(spark, g))
-        out = cc.groupBy("component").agg(F.count("*").alias("size"))
-        assert_equivalent(
-            out,
-            "SELECT component, count(*) AS size FROM cc GROUP BY component",
-            cc=cc,
-        )
+from repro.graphs.properties import diameter
 
 
 class TestDiameter:

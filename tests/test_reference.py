@@ -92,7 +92,7 @@ class TestGlobalProperties:
         bc = exact_bc("tree15")
         g = graph("tree15")
         for v in range(g.n):
-            if g.degree(v) == 1:
+            if g.degrees()[v] == 1:
                 assert bc[v] == 0.0
 
     def test_total_bc_identity_on_tree(self):
