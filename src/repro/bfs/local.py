@@ -10,7 +10,11 @@ loops — so a 100k-edge graph costs ~1 ms per source.
 :func:`dependency_block` sweeps many sources at once, so each per-level
 NumPy call serves the whole block; :func:`dependency_vector` is its
 single-source oracle. :func:`bfs_block` is the forward half of the same
-sweep, with :func:`bfs_sigma` as its oracle.
+sweep, with :func:`bfs_sigma` as its oracle. The block sweep is
+direction-optimizing: a level scans either its frontier's arcs
+(top-down) or the unseen vertices' arcs (bottom-up, on the large middle
+levels of low-diameter graphs), whichever is fewer; the oracles always
+scan top-down, and the rows are bit-identical either way.
 """
 from __future__ import annotations
 
@@ -152,33 +156,83 @@ def bfs_block(g: CSRGraph, sources) -> tuple[np.ndarray, np.ndarray]:
 def _forward(g: CSRGraph, src: np.ndarray) -> tuple[np.ndarray, list]:
     """Forward half of a block sweep: flat ``B·n`` σ and the recorded DAG.
 
-    Each level touches only its frontier's arcs: ``np.unique`` dedupes the
-    next frontier and ``np.bincount`` over compact indices sums σ, so no
-    level costs O(B·n). ``dag[d]`` is ``(frontier, tail, head)`` of level
-    ``d``: the flat ids ``b·n + v`` at distance ``d`` (sorted), and each arc
-    into level ``d + 1`` as an index into ``frontier`` and a flat head id.
+    Each level takes whichever step scans fewer arcs (Beamer, Asanović &
+    Patterson, SC 2012): :func:`_top_down` scans the frontier's arcs,
+    :func:`_bottom_up` the arcs of the still-unseen vertices. The unseen
+    vertices' arcs are counted down from ``B·2m`` by each frontier's arcs,
+    so the choice costs no extra gather; bottom-up also pays an O(B·n)
+    scan for the unseen vertices, hence the ``B·n // 4`` margin. Either
+    step sums each child's σ over its parents in ascending order, as
+    :func:`bfs_sigma` does, so σ is bit-identical whichever step runs.
+    ``dag[d]`` is ``(frontier, tail, head)`` of level ``d``: the flat ids
+    ``b·n + v`` at distance ``d`` (sorted), and each arc into level
+    ``d + 1`` as an index into ``frontier`` and a flat head id. Arcs into
+    one head come in ascending tail order, and arcs out of one tail in
+    ascending head order, from either step.
     """
     n = g.n
-    seen = np.zeros(len(src) * n, dtype=bool)
-    sigma = np.zeros(len(src) * n)
+    size = len(src) * n
+    seen = np.zeros(size, dtype=bool)
+    sigma = np.zeros(size)
     frontier = np.arange(len(src), dtype=np.int64) * n + src
     seen[frontier] = True
     sigma[frontier] = 1.0
+    left = len(src) * len(g.indices)  # arcs out of vertices never in a frontier
+    slot = None  # frontier index of each flat id, −1 if never on a frontier
     dag = []
     while frontier.size:
         v = frontier % n
         starts = g.indptr[v]
         counts = g.indptr[v + 1] - starts
-        tail = np.repeat(np.arange(len(frontier)), counts)
-        head = np.repeat(frontier - v, counts) + g.indices[_ranges(starts, counts)]
-        new = ~seen[head]
-        tail, head = tail[new], head[new]
-        nxt, inv = np.unique(head, return_inverse=True)
+        arcs = int(counts.sum())
+        left -= arcs
+        if arcs > left + size // 4:
+            if slot is None:
+                slot = np.full(size, -1, dtype=np.int32 if size < 2**31 else np.int64)
+            tail, head, nxt, inv = _bottom_up(g, frontier, seen, slot)
+        else:
+            tail, head, nxt, inv = _top_down(g, frontier, v, starts, counts, seen)
         sigma[nxt] = np.bincount(inv, weights=sigma[frontier[tail]])
         seen[nxt] = True
         dag.append((frontier, tail, head))
         frontier = nxt
     return sigma, dag
+
+
+def _top_down(g, frontier, v, starts, counts, seen):
+    """One level from the frontier's arcs (``v``, ``starts``, ``counts``:
+    its vertices and their CSR slices): ``(tail, head, next, inv)``, where
+    arcs ``tail → head`` lead to unseen heads, ``next`` is the sorted
+    distinct heads and ``inv`` each arc's index into ``next``."""
+    tail = np.repeat(np.arange(len(frontier)), counts)
+    head = np.repeat(frontier - v, counts) + g.indices[_ranges(starts, counts)]
+    new = ~seen[head]
+    tail, head = tail[new], head[new]
+    nxt, inv = np.unique(head, return_inverse=True)
+    return tail, head, nxt, inv
+
+
+def _bottom_up(g, frontier, seen, slot):
+    """The same level as :func:`_top_down`, from the arcs of the unseen
+    vertices: each arc whose other end is on the frontier, found through
+    ``slot``, a ``B·n`` array that holds −1 except at earlier frontiers. A
+    vertex is reached when it has a frontier parent. Arcs come grouped by
+    head."""
+    n = g.n
+    u = np.flatnonzero(~seen)
+    w = u % n
+    starts = g.indptr[w]
+    counts = g.indptr[w + 1] - starts
+    # Earlier frontiers keep their stale indices: no unseen vertex is
+    # adjacent to one, or it would have been reached already.
+    slot[frontier] = np.arange(len(frontier))
+    tail = slot[np.repeat(u - w, counts) + g.indices[_ranges(starts, counts)]]
+    hit = tail >= 0
+    tail, head = tail[hit], np.repeat(u, counts)[hit]
+    first = np.empty(len(head), dtype=bool)
+    first[:1] = True
+    np.not_equal(head[1:], head[:-1], out=first[1:])
+    return tail, head, head[first], np.cumsum(first) - 1
 
 
 def _sweep(g: CSRGraph, src: np.ndarray) -> np.ndarray:
@@ -263,6 +317,13 @@ def walk_back(
         cur = path[-1]
         nbrs = g.neighbors(cur)
         preds = nbrs[dist[nbrs] == dist[cur] - 1]
-        w = sigma[preds]
-        path.append(int(rng.choice(preds, p=w / w.sum())))
+        path.append(int(_weighted_pick(preds, sigma[preds], rng)))
     return path
+
+
+def _weighted_pick(a: np.ndarray, w: np.ndarray, rng: np.random.Generator):
+    """``rng.choice(a, p=w / w.sum())``, by the same arithmetic and the same
+    one draw from ``rng``, without ``choice``'s argument checks."""
+    cdf = (w / w.sum()).cumsum()
+    cdf /= cdf[-1]
+    return a[cdf.searchsorted(rng.random(), side="right")]

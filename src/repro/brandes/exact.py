@@ -25,9 +25,9 @@ from ..graphs.csr import CSRGraph
 
 # Sweep elements, sources × (n + arcs), up to which an exact call runs on
 # the driver: the measured break-even against a Spark job's fixed cost
-# (BA-2000 on local[4]: 150 sources, 2.1 M elements, 0.176 s on Spark
-# against 0.166 s on the driver).
-LOCAL_WORK = 2**21
+# (BA-2000 on local[4], median of 15: 225 sources, 3.1 M elements, 0.149 s
+# on Spark against 0.152 s on the driver).
+LOCAL_WORK = 3 * 2**20
 
 
 def source_chunks(spark: SparkSession, sources: np.ndarray) -> list[np.ndarray]:

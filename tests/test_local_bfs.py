@@ -5,6 +5,7 @@ import pytest
 from repro.bfs import local
 from repro.bfs.local import (
     _ranges,
+    _weighted_pick,
     bfs_block,
     bfs_sigma,
     block_size,
@@ -121,6 +122,32 @@ def diamond_chain(k: int):
     return from_edges(3 * k + 1, graph_edges(pairs))
 
 
+def layered(*widths):
+    """Layers of the given widths, each joined to the next by all arcs."""
+    first = np.cumsum((0,) + widths)
+    pairs = [
+        (a, b)
+        for i in range(len(widths) - 1)
+        for a in range(first[i], first[i + 1])
+        for b in range(first[i + 1], first[i + 2])
+    ]
+    return from_edges(int(first[-1]), graph_edges(pairs))
+
+
+def random_layers(depth: int, width: int, seed: int):
+    """``depth + 1`` layers of ``width`` vertices; each vertex past the first
+    layer has 3 to ``width`` random parents in the layer before, so σ soon
+    passes 2^53 and the order of each σ sum shows in its last bits."""
+    rng = np.random.default_rng(seed)
+    pairs = [
+        (i * width + int(a), (i + 1) * width + b)
+        for i in range(depth)
+        for b in range(width)
+        for a in rng.choice(width, size=int(rng.integers(3, width + 1)), replace=False)
+    ]
+    return from_edges((depth + 1) * width, graph_edges(pairs))
+
+
 class TestDependencyBlock:
     @pytest.mark.parametrize("key", sorted(SMALL_GRAPHS))
     def test_rows_equal_vector(self, key):
@@ -171,6 +198,86 @@ class TestBfsBlock:
             assert np.array_equal(dist[s], d_ref) and np.array_equal(sigma[s], s_ref)
 
 
+@pytest.fixture
+def bottom_up_levels(monkeypatch):
+    """Frontier sizes of the levels the block sweep takes bottom-up."""
+    levels = []
+    real = local._bottom_up
+
+    def spy(g, frontier, *rest):
+        levels.append(len(frontier))
+        return real(g, frontier, *rest)
+
+    monkeypatch.setattr(local, "_bottom_up", spy)
+    return levels
+
+
+def assert_rows_equal_oracles(g, sources):
+    block = dependency_block(g, sources)
+    dist, sigma = bfs_block(g, sources)
+    for i, s in enumerate(sources):
+        d_ref, s_ref = bfs_sigma(g, int(s))
+        assert np.array_equal(block[i], dependency_vector(g, int(s)))
+        assert np.array_equal(dist[i], d_ref) and np.array_equal(sigma[i], s_ref)
+
+
+class TestDirections:
+    """The block sweep takes the bottom-up step on the wide levels of
+    low-diameter graphs, never on high-diameter ones, and its rows stay
+    bit-identical to the single-source oracles either way."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen.erdos_renyi(40, 0.3, seed=5),
+            lambda: gen.barbell(20),
+            lambda: gen.complete_graph(12),
+            lambda: gen.star_graph(30),
+            lambda: gen.barabasi_albert(300, 3, seed=1),
+        ],
+        ids=["er40-p0.3", "barbell20", "complete12", "star30", "ba300"],
+    )
+    def test_bottom_up_runs_and_rows_equal_oracles(self, make, bottom_up_levels):
+        g = make()
+        assert_rows_equal_oracles(g, np.arange(g.n))
+        assert bottom_up_levels
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: gen.path_graph(2001), lambda: gen.grid_2d(30, 30)],
+        ids=["path2001", "grid30x30"],
+    )
+    def test_high_diameter_stays_top_down(self, make, bottom_up_levels):
+        g = make()
+        dependency_block(g, np.arange(0, g.n, 7))
+        bfs_block(g, np.arange(0, g.n, 7))
+        assert bottom_up_levels == []
+
+    def test_sources_in_different_components(self, bottom_up_levels):
+        # A dense G(n, p) component, the path k - (k + 1) - (k + 2) and the
+        # isolated vertex k + 3: the bottom-up step also scans the arcs of
+        # components its sources cannot reach.
+        er = gen.erdos_renyi(20, 0.4, seed=1)
+        k = er.n
+        pairs = [(v, int(w)) for v in range(k) for w in er.neighbors(v) if v < w]
+        g = from_edges(k + 4, graph_edges(pairs + [(k, k + 1), (k + 1, k + 2)]))
+        sources = np.r_[k + 3, 0:8, k + 1, 8:k]
+        assert_rows_equal_oracles(g, sources)
+        assert bottom_up_levels
+
+    @pytest.mark.parametrize("key", sorted(SMALL_GRAPHS) + ["layers60x8"])
+    def test_every_level_bottom_up(self, key, monkeypatch):
+        # The bottom-up step alone, from the sources' own level on, still
+        # gives the oracle rows.
+        def bottom_up(g, frontier, v, starts, counts, seen):
+            slot = np.full(len(seen), -1, dtype=np.int32)
+            return local._bottom_up(g, frontier, seen, slot)
+
+        monkeypatch.setattr(local, "_top_down", bottom_up)
+        g = random_layers(60, 8, seed=7) if key == "layers60x8" else graph(key)
+        assert_rows_equal_oracles(g, np.arange(g.n)[::-1])
+
+
 class TestDependencySumIdentity:
     """``Σ_v δ_s•(v) = Σ_{t ≠ s reachable} (d(s, t) − 1)``: each target ``t``
     spreads one unit over each of the ``d(s, t) − 1`` inner positions of its
@@ -213,6 +320,18 @@ class TestSigmaOverflow:
     def test_bfs_block_raises_naming_source(self):
         with pytest.raises(FloatingPointError, match="source 0"):
             bfs_block(diamond_chain(1100), [1650, 0])
+
+    def test_raises_on_bottom_up_level(self, bottom_up_levels):
+        # Complete-bipartite layers of widths 1, 4 × 511, 512, 1: σ from
+        # vertex 0 is 2^1022 on the 512-wide layer, which is the frontier of
+        # the one bottom-up level, and 512 · 2^1022 overflows at the apex.
+        # From vertex 1021, on the 256th layer, σ stays below 2^520.
+        g = layered(1, *[4] * 511, 512, 1)
+        with pytest.raises(FloatingPointError, match="source 0"):
+            dependency_block(g, [1021, 0])
+        with pytest.raises(FloatingPointError, match="source 0"):
+            bfs_block(g, [1021, 0])
+        assert bottom_up_levels == [512, 512]
 
     def test_random_shortest_path_raises(self):
         # σ at the far end is inf, so the walk's weights would be NaN.
@@ -286,3 +405,18 @@ class TestRandomShortestPath:
             1 for _ in range(4000) if random_shortest_path(g, 0, 3, rng)[1] == 1
         )
         assert 0.45 < clockwise / 4000 < 0.55
+
+
+class TestWeightedPick:
+    def test_equals_rng_choice(self):
+        # Same pick and same generator state as rng.choice, on weights that
+        # span many magnitudes, like σ along a level.
+        for seed in range(300):
+            w_rng = np.random.default_rng(seed)
+            k = int(w_rng.integers(1, 12))
+            w = np.exp2(w_rng.integers(0, 60, size=k)) * w_rng.random(k) + 1.0
+            a = w_rng.permutation(1000)[:k]
+            mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(5):
+                assert _weighted_pick(a, w, mine) == theirs.choice(a, p=w / w.sum())
+            assert mine.random() == theirs.random()
