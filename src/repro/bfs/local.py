@@ -199,7 +199,10 @@ def _forward(g: CSRGraph, src: np.ndarray) -> tuple[np.ndarray, list]:
     return sigma, dag
 
 
-def _top_down(g, frontier, v, starts, counts, seen):
+def _top_down(
+    g: CSRGraph, frontier: np.ndarray, v: np.ndarray, starts: np.ndarray,
+    counts: np.ndarray, seen: np.ndarray,
+) -> tuple[np.ndarray, ...]:
     """One level from the frontier's arcs (``v``, ``starts``, ``counts``:
     its vertices and their CSR slices): ``(tail, head, next, inv)``, where
     arcs ``tail → head`` lead to unseen heads, ``next`` is the sorted
@@ -212,7 +215,9 @@ def _top_down(g, frontier, v, starts, counts, seen):
     return tail, head, nxt, inv
 
 
-def _bottom_up(g, frontier, seen, slot):
+def _bottom_up(
+    g: CSRGraph, frontier: np.ndarray, seen: np.ndarray, slot: np.ndarray
+) -> tuple[np.ndarray, ...]:
     """The same level as :func:`_top_down`, from the arcs of the unseen
     vertices: each arc whose other end is on the frontier, found through
     ``slot``, a ``B·n`` array that holds −1 except at earlier frontiers. A
