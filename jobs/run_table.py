@@ -1,6 +1,6 @@
 """spark-submit entrypoint for the seven tables (see DESIGN.md table index).
 
-``build(spark, table, scale)`` returns table ``table``'s DataFrame
+``build(spark, table, scale)`` returns table ``table``'s pandas DataFrame
 (importable from tests); ``main()`` picks the table with ``--table``,
 prints it rendered under its title, and stops the session only if it
 started it. Run as e.g.::
@@ -27,7 +27,7 @@ TITLES = {
 
 
 def build(spark: SparkSession, table: int, scale: str = "bench"):
-    """Table ``table``'s DataFrame at ``scale``."""
+    """Table ``table``'s pandas DataFrame at ``scale``."""
     return getattr(tables, f"table{table}")(spark, scale)
 
 
@@ -40,14 +40,7 @@ def main(argv: list[str] | None = None) -> None:
     spark = SparkSession.getActiveSession()
     owned = spark is None
     if owned:
-        # Post-launch configs matching the conftest fixture's session.
-        spark = (
-            SparkSession.builder.appName(f"repro-table{args.table}")
-            .config("spark.sql.shuffle.partitions", "64")
-            .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-            .config("spark.sql.autoBroadcastJoinThreshold", -1)
-            .getOrCreate()
-        )
+        spark = SparkSession.builder.appName(f"repro-table{args.table}").getOrCreate()
     try:
         print(tables.render(build(spark, args.table, args.scale), TITLES[args.table]))
     finally:
