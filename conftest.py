@@ -60,8 +60,10 @@ def spark() -> SparkSession:
     over a broadcast CSR), so no Spark SQL setting is made here.
     """
     s = SparkSession.builder.appName("repro").getOrCreate()
-    # One line in test_output.txt that tells the driver whether the
-    # cgroup derivation saw the real limit (README § Spark target).
+    # One line in the test log that says where the driver memory came from:
+    # src=env (SPARK_DRIVER_MEM was set), src=cgroup:<file>=<bytes> (the
+    # container limit was read) or src=fallback (no usable limit; see
+    # _driver_mem above).
     print(
         f"[conftest] SPARK_DRIVER_MEM={os.environ['SPARK_DRIVER_MEM']} "
         f"(src={os.environ.get('_SPARK_DRIVER_MEM_SRC', 'env')}) "

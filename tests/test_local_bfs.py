@@ -278,6 +278,72 @@ class TestDirections:
         assert_rows_equal_oracles(g, np.arange(g.n)[::-1])
 
 
+@pytest.fixture
+def top_down_dedups(monkeypatch):
+    """How each level the block sweep takes top-down dedups its heads:
+    ``"dense"`` (bitmap) or ``"sort"`` (``np.unique``)."""
+    paths = []
+    real_top_down, real_dense = local._top_down, local._dense_unique
+
+    def top_down(*args):
+        paths.append("sort")
+        return real_top_down(*args)
+
+    def dense(*args):
+        paths[-1] = "dense"
+        return real_dense(*args)
+
+    monkeypatch.setattr(local, "_top_down", top_down)
+    monkeypatch.setattr(local, "_dense_unique", dense)
+    return paths
+
+
+class TestDenseDedup:
+    """Wide top-down levels dedup their heads through a ``B·n`` bitmap,
+    narrow ones with a sort; both give ``np.unique``'s sorted heads and
+    inverse, so the rows stay bit-identical to the oracles."""
+
+    def test_equals_np_unique(self):
+        rng = np.random.default_rng(3)
+        for n, rows in [(1, 1), (7, 1), (50, 3), (300, 8)]:
+            size = n * rows
+            for arcs in {0, 1, 2, size // 16, size // 2, size, 4 * size}:
+                # Arc order: grouped by source row, repeated heads within a row.
+                row = np.sort(rng.integers(0, rows, size=arcs))
+                head = row * n + rng.integers(0, n, size=arcs)
+                want_nxt, want_inv = np.unique(head, return_inverse=True)
+                nxt, inv = local._dense_unique(head, size)
+                assert np.array_equal(nxt, want_nxt) and np.array_equal(inv, want_inv)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: gen.barabasi_albert(300, 3, seed=1), lambda: gen.erdos_renyi(40, 0.3, seed=5)],
+        ids=["ba300", "er40-p0.3"],
+    )
+    def test_dense_runs_and_rows_equal_oracles(self, make, top_down_dedups):
+        g = make()
+        assert_rows_equal_oracles(g, np.arange(g.n))
+        assert "dense" in top_down_dedups
+
+    def test_sigma_past_2_53(self, top_down_dedups):
+        # σ sums whose order shows in their last bits.
+        g = random_layers(60, 8, seed=7)
+        assert_rows_equal_oracles(g, np.arange(g.n)[::-1])
+        assert "dense" in top_down_dedups
+
+    def test_path_keeps_the_sort(self, top_down_dedups):
+        g = gen.path_graph(2001)
+        assert_rows_equal_oracles(g, np.arange(0, g.n, 7))
+        assert top_down_dedups and set(top_down_dedups) == {"sort"}
+
+    @pytest.mark.parametrize("key", sorted(SMALL_GRAPHS) + ["layers60x8"])
+    def test_every_level_dense(self, key, monkeypatch):
+        # The bitmap on every non-empty top-down level still gives the oracle rows.
+        monkeypatch.setattr(local, "DENSE_LEVEL", 2**40)
+        g = random_layers(60, 8, seed=7) if key == "layers60x8" else graph(key)
+        assert_rows_equal_oracles(g, np.arange(g.n)[::-1])
+
+
 class TestDependencySumIdentity:
     """``Σ_v δ_s•(v) = Σ_{t ≠ s reachable} (d(s, t) − 1)``: each target ``t``
     spreads one unit over each of the ``d(s, t) − 1`` inner positions of its
