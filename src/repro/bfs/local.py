@@ -70,21 +70,14 @@ def bfs_sigma(g: CSRGraph, source: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(starts[i], starts[i]+counts[i])`` without a loop.
-
-    Zero-count entries are dropped first (they'd otherwise collide on the
-    same jump index), matching ``np.repeat(x, counts)`` semantics.
+    """Concatenated ``arange(starts[i], starts[i]+counts[i])`` without a loop:
+    a running index, plus each entry's start less the entries before it,
+    repeated ``counts[i]`` times (so zero-count entries drop out, as in
+    ``np.repeat(x, counts)``).
     """
-    nz = counts > 0
-    starts, counts = starts[nz], counts[nz]
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    ends = np.cumsum(counts)
-    out[0] = starts[0]
-    out[ends[:-1]] = starts[1:] - starts[:-1] - counts[:-1] + 1
-    return np.cumsum(out)
+    ends = np.cumsum(counts, dtype=np.int64)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - ends + counts, counts) + np.arange(total)
 
 
 def dependency_vector(g: CSRGraph, source: int) -> np.ndarray:
@@ -232,7 +225,7 @@ def _top_down(
     than sorting the arcs; both return the same arrays."""
     tail = np.repeat(np.arange(len(frontier)), counts)
     head = np.repeat(frontier - v, counts) + g.indices[_ranges(starts, counts)]
-    new = ~seen[head]
+    new = np.flatnonzero(~seen[head])
     tail, head = tail[new], head[new]
     if len(head) * DENSE_LEVEL >= len(seen):
         nxt, inv = _dense_unique(head, len(seen))
@@ -271,7 +264,7 @@ def _bottom_up(
     # adjacent to one, or it would have been reached already.
     slot[frontier] = np.arange(len(frontier))
     tail = slot[np.repeat(u - w, counts) + g.indices[_ranges(starts, counts)]]
-    hit = tail >= 0
+    hit = np.flatnonzero(tail >= 0)
     tail, head = tail[hit], np.repeat(u, counts)[hit]
     first = np.empty(len(head), dtype=bool)
     first[:1] = True
