@@ -13,7 +13,7 @@ from pyspark.sql import SparkSession
 
 from ..bfs.local import bfs_sigma
 from ..brandes.exact import check_sampler_args, score_table
-from ..core.mh_single import score_vertices
+from ..core.mh_joint import score_missing
 from ..graphs.csr import CSRGraph
 from .uniform_source import BaselineResult
 
@@ -53,9 +53,7 @@ def distance_sampler_estimate(
     p = distance_distribution(g, r)
     samples = rng.choice(g.n, size=T, p=p)
     col = score_table(scores, g.n)
-    missing = np.unique(samples[np.isnan(col[samples])])
-    if len(missing):
-        score_vertices(spark, g, missing, r, col)
+    n_scored = score_missing(spark, g, samples, [r], col[:, None])
     est = float((col[samples] / p[samples]).mean())
     return BaselineResult(
         r=int(r),
@@ -63,5 +61,5 @@ def distance_sampler_estimate(
         seed=seed,
         estimate_bc=est,
         estimate_nbc=est / (g.n * (g.n - 1)),
-        n_scored=len(missing),
+        n_scored=n_scored,
     )

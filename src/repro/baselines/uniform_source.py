@@ -3,7 +3,7 @@
 Draw sources ``s ~ U(V \\ {r})`` i.i.d.; ``(n−1)·δ_s•(r)`` is an unbiased
 estimator of ``BC(r)``. The per-sample work (one Brandes pass per
 distinct source) runs through the MH sampler's own scoring phase
-(:func:`repro.core.mh_single.score_vertices`), so time-per-sample
+(:func:`repro.core.mh_joint.score_missing`), so time-per-sample
 comparisons against the MH sampler are apples-to-apples.
 """
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from ..brandes.exact import check_sampler_args, score_table
-from ..core.mh_single import score_vertices
+from ..core.mh_joint import score_missing
 from ..graphs.csr import CSRGraph
 
 
@@ -49,9 +49,7 @@ def uniform_source_estimate(
     pool = np.setdiff1d(np.arange(g.n), [r])
     samples = pool[rng.integers(0, len(pool), size=T)]
     col = score_table(scores, g.n)
-    missing = np.unique(samples[np.isnan(col[samples])])
-    if len(missing):
-        score_vertices(spark, g, missing, r, col)
+    n_scored = score_missing(spark, g, samples, [r], col[:, None])
     est = float((g.n - 1) * col[samples].mean())
     return BaselineResult(
         r=int(r),
@@ -59,5 +57,5 @@ def uniform_source_estimate(
         seed=seed,
         estimate_bc=est,
         estimate_nbc=est / (g.n * (g.n - 1)),
-        n_scored=len(missing),
+        n_scored=n_scored,
     )

@@ -359,12 +359,9 @@ def walk_back(
     return path
 
 
-def _weighted_pick(a: np.ndarray, w: np.ndarray, u):
+def _weighted_pick(a: np.ndarray, w: np.ndarray, u: float):
     """``rng.choice(a, p=w / w.sum())`` by the same arithmetic, without
-    ``choice``'s argument checks. ``u`` is the one uniform ``choice`` draws,
-    or a generator to take that draw from."""
-    if isinstance(u, np.random.Generator):
-        u = u.random()
+    ``choice``'s argument checks. ``u`` is the one uniform ``choice`` draws."""
     cdf = (w / w.sum()).cumsum()
     cdf /= cdf[-1]
     return a[cdf.searchsorted(u, side="right")]

@@ -139,12 +139,12 @@ def betweenness_vector(spark: SparkSession, g: CSRGraph) -> np.ndarray:
     return sum(parts, np.zeros(n))
 
 
-def _vertex_ids(g: CSRGraph, ids: Sequence[int], what: str) -> np.ndarray:
+def _vertex_ids(n: int, ids: Sequence[int], what: str) -> np.ndarray:
     """Sorted distinct vertex ids; ``ValueError`` if any is outside ``[0, n)``."""
     out = np.unique(np.asarray(ids, dtype=np.int64))
-    if len(out) and (out[0] < 0 or out[-1] >= g.n):
+    if len(out) and (out[0] < 0 or out[-1] >= n):
         bad = out[0] if out[0] < 0 else out[-1]
-        raise ValueError(f"{what} {int(bad)} out of range [0, {g.n})")
+        raise ValueError(f"{what} {int(bad)} out of range [0, {n})")
     return out
 
 
@@ -158,7 +158,7 @@ def check_sampler_args(g: CSRGraph, R: Sequence[int], T: int) -> None:
         raise ValueError(f"T must be at least 1, got {T}")
     if not len(R):
         raise ValueError("R must not be empty")
-    if len(_vertex_ids(g, R, "target")) != len(R):
+    if len(_vertex_ids(g.n, R, "target")) != len(R):
         raise ValueError(f"R has duplicate vertices: {list(R)}")
 
 
@@ -166,12 +166,15 @@ def score_table(scores: Any, n: int, k: int | None = None) -> np.ndarray:
     """A sampler's own dense δ table, shape ``(n,)`` or ``(n, k = |R|)``, made
     from ``scores``: None, an array of that shape (copied, never written) or
     a dict ``{v: δ}`` / ``{v: δ-vector over R}``. NaN marks a vertex not yet
-    scored; the kernels never return NaN. ``ValueError`` on a wrong shape."""
+    scored; the kernels never return NaN. ``ValueError`` on a wrong shape or
+    a dict key outside ``[0, n)``."""
     shape = (n,) if k is None else (n, k)
     if scores is None or isinstance(scores, dict):
         table = np.full(shape, np.nan)
         if scores:
-            table[list(scores)] = list(scores.values())
+            keys = np.fromiter(scores, dtype=np.int64, count=len(scores))
+            _vertex_ids(n, keys, "scored vertex")
+            table[keys] = list(scores.values())
         return table
     table = np.array(scores, dtype=np.float64)
     if table.shape != shape:
@@ -200,13 +203,13 @@ def dependency_matrix(
     Raises ``ValueError`` if ``targets`` is empty or a target or source is
     not a vertex of ``g``.
     """
-    tg = _vertex_ids(g, targets, "target")
+    tg = _vertex_ids(g.n, targets, "target")
     if not len(tg):
         raise ValueError("targets must not be empty")
     if sources is None:
         src = np.arange(g.n, dtype=np.int64)
     else:
-        src = _vertex_ids(g, sources, "source")
+        src = _vertex_ids(g.n, sources, "source")
 
     def fold(blocks: Iterator[np.ndarray]) -> np.ndarray:
         return np.concatenate([block[:, tg] for block in blocks] + [np.empty((0, len(tg)))])

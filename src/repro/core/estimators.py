@@ -1,8 +1,9 @@
 """Estimators over realised MH chains (Eqs. 7 and 22).
 
-The samplers in :mod:`repro.core.mh_single` / :mod:`repro.core.mh_joint`
-produce chains of states plus the dependency score of each state; these
-pure functions turn a chain into the paper's estimates.
+The Independence-MH sampler of :mod:`repro.core.mh_joint` (single-space
+is its |R| = 1 case, :mod:`repro.core.mh_single`) produces chains of
+states plus the dependency score of each state; these pure functions turn
+a chain into the paper's estimates.
 """
 from __future__ import annotations
 

@@ -1,19 +1,27 @@
-"""§4.3 — the joint-space Metropolis-Hastings sampler over R × V(G).
+"""§4.2 and §4.3 — the Independence-MH sampler over R × V(G).
 
 States are pairs ⟨r, v⟩; proposals draw both components uniformly;
 acceptance is ``min{1, δ_v'•(r') / δ_v•(r)}`` (Eq. 17); the stationary
 law is Eq. 18. From one realised chain we estimate *all* pairwise
 betweenness ratios (Eq. 22) and relative scores simultaneously —
-Bennett's acceptance-ratio method in graph clothing.
+Bennett's acceptance-ratio method in graph clothing. With |R| = 1 this is
+the single-space sampler of §4.2 (Eq. 17 reduces to Eq. 6, Eq. 18 to
+Eq. 5), which :mod:`repro.core.mh_single` runs through :func:`mh_joint`.
 
-Distributed structure mirrors :mod:`repro.core.mh_single`: pre-drawn
-i.i.d. proposals, each **distinct** proposed ``v`` is scored with one
-Brandes pass that yields ``δ_v•(r)`` for every ``r ∈ R`` at once into an
-``n × |R|`` δ table, and the shared O(T) scan runs on the driver.
+Distributed execution exploits the *independence* structure: all ``T``
+proposals are i.i.d. uniform and can be pre-drawn, so the expensive part
+— one O(|E|) Brandes pass per **distinct** proposed ``v``, which yields
+``δ_v•(r)`` for every ``r ∈ R`` at once — runs as one batch of Brandes
+sweeps (one Spark job over a broadcast CSR, or the driver when the batch
+costs less than a job; see :mod:`repro.brandes.exact`) into a dense
+``n × |R|`` δ table (NaN = not yet scored), while the inherently
+sequential accept/reject scan is O(T) float work on the driver. For
+``T ≥ n`` at most ``n`` passes are computed regardless of chain length.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -22,7 +30,6 @@ from ..brandes.exact import check_sampler_args, dependency_matrix, score_table
 from ..brandes.relative import min_ratio
 from ..graphs.csr import CSRGraph
 from .estimators import eq22_ratio, relative_score_estimate
-from .mh_single import _imh_scan, _last_accepted
 
 
 @dataclass(frozen=True)
@@ -55,12 +62,57 @@ def score_vertices_joint(
     table: np.ndarray,
 ) -> None:
     """Write ``[δ_v•(r) for r in R]`` into ``table[v]`` for each distinct
-    ``v`` in ``vertices`` — one Brandes pass per ``v`` yields every ``r``."""
+    ``v`` in ``vertices`` — the scoring phase: one ``dependency_matrix``
+    call, one Brandes pass per ``v`` yields every ``r``."""
     dm = dependency_matrix(spark, g, R, sources=np.unique(vertices))
     R = np.asarray(R)
     order = np.argsort(R)
     j = order[np.searchsorted(R[order], dm["r"].to_numpy())]
     table[dm["s"].to_numpy(), j] = dm["delta"].to_numpy()
+
+
+def score_missing(
+    spark: SparkSession,
+    g: CSRGraph,
+    vertices: np.ndarray,
+    R: list[int],
+    table: np.ndarray,
+) -> int:
+    """Score the rows of the ``n × |R|`` δ table ``table`` that are NaN
+    among ``vertices``, in place, with one :func:`score_vertices_joint`
+    call (none if every row is scored). Returns how many rows it scored."""
+    needed = np.unique(vertices)
+    missing = needed[np.isnan(table[needed]).any(axis=1)]
+    if len(missing):
+        score_vertices_joint(spark, g, missing, R, table)
+    return len(missing)
+
+
+_SCAN_CHUNK = 4096  # steps per batch of Python floats: bounds the scan's memory
+
+
+def _imh_scan(d_prop: np.ndarray, uniforms: np.ndarray, d0: float) -> np.ndarray:
+    """The sequential Independence-MH accept/reject scan (Eqs. 6 and 17): the
+    accept flag of each step, given each proposal's δ and the start state's
+    ``d0``. Step ``t`` moves when ``u_t < δ_prop/δ_cur``, the same decision as
+    ``u_t < min{1, δ_prop/δ_cur}`` for ``u_t ∈ [0, 1)``; from a δ = 0 state
+    every proposal is accepted (zero-δ convention). The loop runs over Python
+    floats, several times cheaper per step than NumPy scalars.
+    """
+    accepted = np.empty(len(d_prop), dtype=bool)
+    dcur = float(d0)
+    for lo in range(0, len(d_prop), _SCAN_CHUNK):
+        flags: list[bool] = []
+        append = flags.append
+        hi = lo + _SCAN_CHUNK
+        for d, u in zip(d_prop[lo:hi].tolist(), uniforms[lo:hi].tolist()):
+            if dcur == 0.0 or u < d / dcur:
+                dcur = d
+                append(True)
+            else:
+                append(False)
+        accepted[lo:hi] = flags
+    return accepted
 
 
 def run_joint_chain(
@@ -71,14 +123,17 @@ def run_joint_chain(
     v0: int,
     table: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sequential Eq.-17 accept/reject scan (driver side), the single-space
-    chain's scan over the dense ``n × |R|`` table ``table[v, j] = δ_v•(R[j])``.
-    Returns ``(r_idx_chain, v_chain, accepted)``."""
+    """The exact sequential Eq.-17 accept/reject scan (driver side) over the
+    dense ``n × |R|`` table ``table[v, j] = δ_v•(R[j])``, scanned as the
+    flattened cells ``v·|R| + j``. Returns ``(r_idx_chain, v_chain, accepted)``."""
     k = table.shape[1]
     cells = np.r_[int(v0) * k + int(r0_idx), prop_v * k + prop_r]
     d = table.ravel()[cells]
     accepted = _imh_scan(d[1:], uniforms, d[0])
-    v, r_idx = np.divmod(cells[_last_accepted(accepted)], k)
+    # per state, the candidate it holds: 0 is the start, t + 1 is proposal t
+    at = np.arange(len(cells))
+    at[1:][~accepted] = 0
+    v, r_idx = np.divmod(cells[np.maximum.accumulate(at, out=at)], k)
     return r_idx, v, accepted
 
 
@@ -93,7 +148,9 @@ def mh_joint(
 ) -> JointChainResult:
     """Run the joint-space sampler for ``T`` iterations.
 
-    Deterministic in ``seed``. ``scores`` may carry a precomputed δ table
+    Deterministic in ``seed`` (proposals, initial state and acceptance
+    coin flips all come from one PCG64 stream; with |R| = 1 the r-draws
+    consume none of it). ``scores`` may carry a precomputed δ table
     (multi-chain coverage runs): an ``n × |R|`` array with NaN rows for
     unscored vertices, or a dict ``v → δ-vector over R``. It is copied,
     never written; missing vertices are scored by ``dependency_matrix``.
@@ -109,29 +166,18 @@ def mh_joint(
     prop_v = rng.integers(0, g.n, size=T)
     uniforms = rng.random(T)
     table = score_table(scores, g.n, k)
-    needed = np.unique(np.r_[v0, prop_v])
-    missing = needed[np.isnan(table[needed]).any(axis=1)]
-    if len(missing):
-        score_vertices_joint(spark, g, missing, R, table)
+    n_scored = score_missing(spark, g, np.r_[v0, prop_v], R, table)
     r_idx, v_chain, accepted = run_joint_chain(
         prop_r, prop_v, uniforms, r0_idx, v0, table
     )
     delta_chain = table[v_chain]  # (T+1, k)
-    ratio = np.full((k, k), np.nan)
-    relative = np.full((k, k), np.nan)
-    for j in range(k):
-        on_j = r_idx == j
-        dj = delta_chain[on_j, j]
-        for i in range(k):
-            if i == j:
-                ratio[i, j] = 1.0
-                relative[i, j] = 1.0
-                continue
-            f_ij = min_ratio(delta_chain[on_j, i], dj)
-            relative[i, j] = relative_score_estimate(f_ij)
-            on_i = r_idx == i
-            f_ji = min_ratio(delta_chain[on_i, j], delta_chain[on_i, i])
-            ratio[i, j] = eq22_ratio(f_ij, f_ji)
+    # the rows of each sub-chain S(j); with |R| = 1 there is no pair to estimate
+    sub = [delta_chain[r_idx == j] for j in range(k)] if k > 1 else []
+    ratio, relative = np.ones((k, k)), np.ones((k, k))
+    for i, j in permutations(range(k), 2):
+        f_ij = min_ratio(sub[j][:, i], sub[j][:, j])
+        relative[i, j] = relative_score_estimate(f_ij)
+        ratio[i, j] = eq22_ratio(f_ij, min_ratio(sub[i][:, j], sub[i][:, i]))
     return JointChainResult(
         R=tuple(int(r) for r in R),
         T=T,
@@ -143,5 +189,5 @@ def mh_joint(
         ratio=ratio,
         relative=relative,
         subchain_sizes=np.bincount(r_idx, minlength=k),
-        n_scored=len(missing),
+        n_scored=n_scored,
     )

@@ -2,18 +2,11 @@
 
 Independence MH on the state space V(G): uniform proposals, acceptance
 ``min{1, δ_v'•(r)/δ_v•(r)}`` (Eq. 6), stationary law ``P_r[·]`` (Eq. 5).
-
-Distributed execution exploits the *independence* structure: all ``T``
-proposals are i.i.d. uniform and can be pre-drawn, so the expensive part
-— one O(|E|) Brandes pass per **distinct** proposed vertex — runs as one
-batch of Brandes sweeps (one Spark job over a broadcast CSR, or the driver
-when the batch costs less than a job; see :mod:`repro.brandes.exact`),
-while the inherently sequential accept/reject scan is O(T) float work on
-the driver. For ``T ≥ n`` at most ``n`` passes are computed regardless of
-chain length.
-
-Scores live in a dense δ table (NaN = not yet scored). Both samplers run
-the same scan, :func:`_imh_scan`; the joint-space one is this with |R| > 1.
+This is the joint-space sampler of :mod:`repro.core.mh_joint` on R = [r]
+(Eq. 17 reduces to Eq. 6, Eq. 18 to Eq. 5), so :func:`mh_single` runs
+:func:`~repro.core.mh_joint.mh_joint` on ``[r]`` and reads the Eq.-7
+estimates off its chain; :func:`score_vertices` and :func:`run_chain` are
+the |R| = 1 forms of the joint scoring and scan over a dense δ column.
 """
 from __future__ import annotations
 
@@ -22,9 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from ..brandes.exact import check_sampler_args, dependency_matrix, score_table
+# dependency_matrix is not called here; perfbench/spans.py looks it up here
+from ..brandes.exact import dependency_matrix, score_table  # noqa: F401
 from ..graphs.csr import CSRGraph
 from .estimators import eq7_accepted_only, eq7_estimate
+from .mh_joint import mh_joint, run_joint_chain, score_vertices_joint
 
 
 @dataclass(frozen=True)
@@ -51,57 +46,20 @@ def score_vertices(
     spark: SparkSession, g: CSRGraph, vertices: np.ndarray, r: int, col: np.ndarray
 ) -> None:
     """Write ``δ_v•(r)`` into ``col[v]`` for each distinct ``v`` in
-    ``vertices`` — the scoring phase: one ``dependency_matrix`` call, one
-    Brandes pass per vertex."""
-    dm = dependency_matrix(spark, g, [r], sources=np.unique(vertices))
-    col[dm["s"].to_numpy()] = dm["delta"].to_numpy()
-
-
-_SCAN_CHUNK = 4096  # steps per batch of Python floats: bounds the scan's memory
-
-
-def _imh_scan(d_prop: np.ndarray, uniforms: np.ndarray, d0: float) -> np.ndarray:
-    """The sequential Independence-MH accept/reject scan (Eqs. 6 and 17): the
-    accept flag of each step, given each proposal's δ and the start state's
-    ``d0``. Step ``t`` moves when ``u_t < δ_prop/δ_cur``, the same decision as
-    ``u_t < min{1, δ_prop/δ_cur}`` for ``u_t ∈ [0, 1)``; from a δ = 0 state
-    every proposal is accepted (zero-δ convention). The loop runs over Python
-    floats, several times cheaper per step than NumPy scalars.
-    """
-    accepted = np.empty(len(d_prop), dtype=bool)
-    dcur = float(d0)
-    for lo in range(0, len(d_prop), _SCAN_CHUNK):
-        flags: list[bool] = []
-        append = flags.append
-        hi = lo + _SCAN_CHUNK
-        for d, u in zip(d_prop[lo:hi].tolist(), uniforms[lo:hi].tolist()):
-            if dcur == 0.0 or u < d / dcur:
-                dcur = d
-                append(True)
-            else:
-                append(False)
-        accepted[lo:hi] = flags
-    return accepted
-
-
-def _last_accepted(accepted: np.ndarray) -> np.ndarray:
-    """Per state, the index of the candidate it holds: candidate 0 is the
-    start state, candidate ``t + 1`` is proposal ``t``."""
-    at = np.arange(len(accepted) + 1)
-    at[1:][~accepted] = 0
-    return np.maximum.accumulate(at, out=at)
+    ``vertices``: :func:`~repro.core.mh_joint.score_vertices_joint` on ``[r]``."""
+    score_vertices_joint(spark, g, vertices, [r], col[:, None])
 
 
 def run_chain(
     proposals: np.ndarray, uniforms: np.ndarray, v0: int, col: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact sequential accept/reject scan (driver side) over the dense
-    column ``col[v] = δ_v•(r)``. Returns ``(states, delta_chain, accepted)``."""
-    cand = np.r_[int(v0), proposals]
-    d = col[cand]
-    accepted = _imh_scan(d[1:], uniforms, d[0])
-    at = _last_accepted(accepted)
-    return cand[at], d[at], accepted
+    """The accept/reject scan over the dense column ``col[v] = δ_v•(r)``:
+    :func:`~repro.core.mh_joint.run_joint_chain` on one target. Returns
+    ``(states, delta_chain, accepted)``."""
+    _, states, accepted = run_joint_chain(
+        np.zeros_like(proposals), proposals, uniforms, 0, v0, col[:, None]
+    )
+    return states, col[states], accepted
 
 
 def mh_single(
@@ -115,8 +73,8 @@ def mh_single(
 ) -> SingleChainResult:
     """Run the single-space sampler for ``T`` iterations.
 
-    Deterministic in ``seed`` (proposals, initial state and acceptance
-    coin flips all come from one PCG64 stream). ``scores`` may carry a
+    Deterministic in ``seed``: the chain of ``mh_joint`` on ``[r]``, whose
+    r-draws take no bits of the PCG64 stream. ``scores`` may carry a
     precomputed δ column (e.g. when running many chains on one graph —
     Table 4 coverage runs): an ``n``-vector with NaN for unscored
     vertices, or a dict ``{v: δ}``. It is copied, never written; any
@@ -124,25 +82,17 @@ def mh_single(
     ``ValueError`` if ``r`` is not a vertex of ``g``, ``T < 1`` or ``g``
     has fewer than 2 vertices.
     """
-    check_sampler_args(g, [r], T)
-    rng = np.random.default_rng(seed)
-    v0 = int(rng.integers(0, g.n))
-    proposals = rng.integers(0, g.n, size=T)
-    uniforms = rng.random(T)
     col = score_table(scores, g.n)
-    needed = np.unique(np.r_[v0, proposals])
-    missing = needed[np.isnan(col[needed])]
-    if len(missing):
-        score_vertices(spark, g, missing, r, col)
-    states, delta_chain, accepted = run_chain(proposals, uniforms, v0, col)
+    res = mh_joint(spark, g, [r], T, seed=seed, scores=col[:, None])
+    delta_chain = res.delta_chain[:, 0]
     return SingleChainResult(
         r=int(r),
         T=T,
         seed=seed,
-        states=states,
+        states=res.v_chain,
         delta_chain=delta_chain,
-        accepted=accepted,
+        accepted=res.accepted,
         estimate=eq7_estimate(delta_chain, g.n),
-        estimate_accepted_only=eq7_accepted_only(delta_chain, accepted, g.n),
-        n_scored=len(missing),
+        estimate_accepted_only=eq7_accepted_only(delta_chain, res.accepted, g.n),
+        n_scored=res.n_scored,
     )

@@ -14,7 +14,7 @@ from repro.brandes.exact import score_table
 from repro.core.mh_joint import mh_joint, run_joint_chain
 from repro.core.mh_single import mh_single, run_chain
 
-from .conftest import dep_column, graph
+from .conftest import SMALL_GRAPHS, dep_column, graph
 
 
 def reference_chain(proposals, uniforms, v0, scores):
@@ -132,3 +132,42 @@ class TestScoreTable:
             score_table(np.zeros(5), 6)
         with pytest.raises(ValueError):
             score_table(np.zeros((6, 2)), 6, 3)
+
+    @pytest.mark.parametrize("key", [-1, 4, -5])
+    def test_out_of_range_keys_rejected(self, key):
+        # A negative key must not wrap around to the end of the table, and a
+        # key past the end must fail as a bad vertex, not as an IndexError.
+        with pytest.raises(ValueError, match=f"scored vertex {key} out of range"):
+            score_table({0: 1.0, key: 0.5}, 4)
+        with pytest.raises(ValueError, match=f"scored vertex {key} out of range"):
+            score_table({key: np.array([0.5, 1.0]), 1: np.ones(2)}, 4, 2)
+
+    def test_in_range_keys_kept_in_dict_order(self):
+        out = score_table({3: 1.0, 0: 2.0}, 4)
+        assert out[3] == 1.0 and out[0] == 2.0 and np.isnan(out[[1, 2]]).all()
+        out = score_table({3: np.array([1.0, 2.0])}, 4, 2)
+        assert np.array_equal(out[3], [1.0, 2.0]) and np.isnan(out[:3]).all()
+
+
+def assert_single_is_joint(single, joint):
+    """``mh_single`` on ``r`` is ``mh_joint`` on ``[r]``, array for array."""
+    assert np.array_equal(single.states, joint.v_chain)
+    assert np.array_equal(single.delta_chain, joint.delta_chain[:, 0])
+    assert np.array_equal(single.accepted, joint.accepted)
+    assert np.array_equal(joint.r_idx_chain, np.zeros(single.T + 1))
+    assert np.array_equal(joint.ratio, [[1.0]])
+    assert single.n_scored == joint.n_scored
+
+
+@pytest.mark.parametrize("key", sorted(SMALL_GRAPHS))
+def test_single_is_joint_with_one_target(key):
+    # With one target the joint sampler's r-draws take no bits from the
+    # PCG64 stream, so both samplers walk the same chain.
+    g = graph(key)
+    for r in (0, g.n // 2):
+        col = dep_column(key, r)
+        for seed in range(5):
+            for T in (1, 50, 3000):
+                single = mh_single(None, g, r, T, seed=seed, scores=col)
+                joint = mh_joint(None, g, [r], T, seed=seed, scores=col[:, None])
+                assert_single_is_joint(single, joint)

@@ -484,5 +484,5 @@ class TestWeightedPick:
             a = w_rng.permutation(1000)[:k]
             mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
             for _ in range(5):
-                assert _weighted_pick(a, w, mine) == theirs.choice(a, p=w / w.sum())
+                assert _weighted_pick(a, w, mine.random()) == theirs.choice(a, p=w / w.sum())
             assert mine.random() == theirs.random()

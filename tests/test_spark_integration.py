@@ -2,10 +2,13 @@
 import numpy as np
 import pytest
 
+from repro.baselines.distance_sampler import distance_distribution, distance_sampler_estimate
+from repro.baselines.uniform_source import uniform_source_estimate
 from repro.core.mh_joint import mh_joint, score_vertices_joint
 from repro.core.mh_single import mh_single, score_vertices
 
 from .conftest import dep_column, exact_bc, graph
+from .test_imh_scan import assert_single_is_joint
 
 # These graphs are below ``exact.LOCAL_WORK``; score them on Spark anyway.
 pytestmark = pytest.mark.usefixtures("on_spark")
@@ -99,4 +102,39 @@ class TestEndToEnd:
         assert np.array_equal(c.delta_chain, d.delta_chain)
         assert np.array_equal(c.accepted, d.accepted)
         assert c.n_scored > 0 and d.n_scored == 0
+        assert np.array_equal(partial, before, equal_nan=True)
+
+    def test_mh_single_is_mh_joint_on_spark(self, spark):
+        key, r = "ba30", 1
+        g = graph(key)
+        single = mh_single(spark, g, r, 200, seed=7)
+        joint = mh_joint(spark, g, [r], 200, seed=7)
+        assert single.n_scored > 0
+        assert_single_is_joint(single, joint)
+
+    @pytest.mark.parametrize("method", ["uniform", "distance"])
+    def test_baselines_partial_scores_topped_up(self, spark, method):
+        # The baselines fill their NaN entries through the samplers' scoring
+        # path: the estimate equals the full-column run, n_scored counts the
+        # distinct unscored samples, and the caller's column is unchanged.
+        key, r, T, seed = "er30", 0, 120, 9
+        g = graph(key)
+        full = np.full(g.n, np.nan)
+        score_vertices(spark, g, np.arange(g.n), r, full)
+        partial = full.copy()
+        partial[::3] = np.nan
+        before = partial.copy()
+        rng = np.random.default_rng(seed)
+        if method == "uniform":
+            run = uniform_source_estimate
+            pool = np.setdiff1d(np.arange(g.n), [r])
+            samples = pool[rng.integers(0, len(pool), size=T)]
+        else:
+            run = distance_sampler_estimate
+            samples = rng.choice(g.n, size=T, p=distance_distribution(g, r))
+        unscored = np.unique(samples[np.isnan(partial[samples])])
+        a = run(spark, g, r, T, seed=seed, scores=partial)
+        b = run(None, g, r, T, seed=seed, scores=full)
+        assert a.estimate_bc == b.estimate_bc and a.estimate_nbc == b.estimate_nbc
+        assert a.n_scored == len(unscored) > 0 and b.n_scored == 0
         assert np.array_equal(partial, before, equal_nan=True)
