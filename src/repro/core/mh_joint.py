@@ -79,10 +79,10 @@ def score_missing(
     table: np.ndarray,
 ) -> int:
     """Score the rows of the ``n × |R|`` δ table ``table`` that are NaN
-    among ``vertices``, in place, with one :func:`score_vertices_joint`
-    call (none if every row is scored). Returns how many rows it scored."""
-    needed = np.unique(vertices)
-    missing = needed[np.isnan(table[needed]).any(axis=1)]
+    among ``vertices`` (an index array), in place, with one
+    :func:`score_vertices_joint` call (none if every row is scored).
+    Returns how many distinct rows it scored."""
+    missing = np.unique(vertices[np.isnan(table).any(axis=1)[vertices]])
     if len(missing):
         score_vertices_joint(spark, g, missing, R, table)
     return len(missing)
