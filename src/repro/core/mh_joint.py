@@ -12,10 +12,10 @@ Distributed execution exploits the *independence* structure: all ``T``
 proposals are i.i.d. uniform and can be pre-drawn, so the expensive part
 — one O(|E|) Brandes pass per **distinct** proposed ``v``, which yields
 ``δ_v•(r)`` for every ``r ∈ R`` at once — runs as one batch of Brandes
-sweeps (one Spark job over a broadcast CSR, or the driver when the batch
+sweeps (one Spark job over a broadcast CSR, or in-process when the batch
 costs less than a job; see :mod:`repro.brandes.exact`) into a dense
 ``n × |R|`` δ table (NaN = not yet scored), while the inherently
-sequential accept/reject scan is O(T) float work on the driver. For
+sequential accept/reject scan is O(T) float work in the calling process. For
 ``T ≥ n`` at most ``n`` passes are computed regardless of chain length.
 """
 from __future__ import annotations
@@ -123,7 +123,7 @@ def run_joint_chain(
     v0: int,
     table: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact sequential Eq.-17 accept/reject scan (driver side) over the
+    """The exact sequential Eq.-17 accept/reject scan (in-process) over the
     dense ``n × |R|`` table ``table[v, j] = δ_v•(R[j])``, scanned as the
     flattened cells ``v·|R| + j``. Returns ``(r_idx_chain, v_chain, accepted)``."""
     k = table.shape[1]
