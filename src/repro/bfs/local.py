@@ -138,13 +138,17 @@ def dependency_block(g: CSRGraph, sources) -> np.ndarray:
     return out
 
 
-def bfs_block(g: CSRGraph, sources) -> tuple[np.ndarray, np.ndarray]:
+def bfs_block(
+    g: CSRGraph, sources, *, check: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
     """``(dist, sigma)`` of every ``s`` in ``sources``: two ``(len(sources), n)`` arrays.
 
     Row ``i`` is bit-identical to ``bfs_sigma(g, sources[i])``. Sources are
     swept :func:`block_size` at a time by the forward half of the
     :func:`dependency_block` sweep. Raises ``FloatingPointError`` naming the
-    source when σ overflows float64.
+    source when σ overflows float64, unless ``check`` is false: then an
+    overflowed σ is left as ``inf``, and ``dist`` stays exact, for callers
+    that read only distances.
     """
     src = np.asarray(sources, dtype=np.int64)
     dist = np.full((len(src), g.n), -1, dtype=np.int32)
@@ -157,7 +161,8 @@ def bfs_block(g: CSRGraph, sources) -> tuple[np.ndarray, np.ndarray]:
         for level, (frontier, _, _) in enumerate(dag):
             d[frontier] = level
         sigma[i : i + step] = flat.reshape(len(block), g.n)
-        _check_finite(block, sigma[i : i + step])
+        if check:
+            _check_finite(block, sigma[i : i + step])
     return dist, sigma
 
 

@@ -4,11 +4,12 @@ The exact baseline of every table. The sources of a call are cut into
 ``defaultParallelism`` contiguous chunks, each chunk is swept with the
 batched kernel :func:`~repro.bfs.local.dependency_block`, and the driver
 reduces the per-chunk results in chunk order, so the result is identical
-from run to run at a given ``defaultParallelism``. A call whose sweep work
-exceeds :data:`LOCAL_WORK` runs its chunks as one Spark job against a
-broadcast CSR; a smaller one, which would cost less than the job around
-it, runs the same chunks on the driver, with bit-identical results. This
-is the O(nm) computation the paper's samplers undercut.
+from run to run at a given ``defaultParallelism``. :func:`map_chunks` runs
+the chunks of every job kind (both exact calls and the RK baseline's
+pairs): as one Spark job against a broadcast CSR when the call's sweep
+work exceeds :data:`LOCAL_WORK`, and otherwise, when the job would cost
+more than its sweeps, on the driver, with bit-identical results. This is
+the O(nm) computation the paper's samplers undercut.
 """
 from __future__ import annotations
 
@@ -23,10 +24,10 @@ from pyspark.sql import SparkSession
 from ..bfs.local import block_size, dependency_block
 from ..graphs.csr import CSRGraph
 
-# Sweep elements, sources × (n + arcs), up to which an exact call runs on
-# the driver: the measured break-even against a Spark job's fixed cost
-# (BA-2000 on local[4], median of 15: 225 sources, 3.1 M elements, 0.149 s
-# on Spark against 0.152 s on the driver).
+# Sweep elements, sources × (n + arcs), up to which a map_chunks call runs
+# on the driver: the measured break-even of an exact call against a Spark
+# job's fixed cost (BA-2000 on local[4], median of 15: 225 sources, 3.1 M
+# elements, 0.149 s on Spark against 0.152 s on the driver).
 LOCAL_WORK = 3 * 2**20
 
 
@@ -61,16 +62,22 @@ def map_chunks(
     chunks: Sequence[Any],
     task: Callable[[CSRGraph, Any], Any],
     label: str,
+    work: int,
 ) -> list[Any]:
-    """``[task(g, chunk) for chunk in chunks]`` as one Spark job, in chunk order.
+    """``[task(g, chunk) for chunk in chunks]``, in chunk order.
 
-    One task per chunk runs ``task`` against a broadcast copy of ``g`` and
-    then leaves its Python worker without cached zip importers
+    ``work`` is the call's sweep elements, sources × (n + arcs). At most
+    :data:`LOCAL_WORK`, the chunks run in this process, with no job,
+    broadcast or job label. Above it they run as one Spark job: one task
+    per chunk runs ``task`` against a broadcast copy of ``g`` and then
+    leaves its Python worker without cached zip importers
     (:func:`_drop_zip_importers`), so the worker's next task starts without
     re-reading any archive. The job carries ``label`` as its Spark job
     description (the previous one is restored afterwards), and the
     broadcast is destroyed once it returns.
     """
+    if work <= LOCAL_WORK:
+        return [task(g, chunk) for chunk in chunks]
     sc = spark.sparkContext
     bg = sc.broadcast(g)
 
@@ -102,10 +109,8 @@ def _map_blocks(
 ) -> list[np.ndarray]:
     """``fold`` of the :func:`dependency_block` outputs of each of the
     :func:`source_chunks` of ``sources``, one block of :func:`block_size`
-    sources at a time, in chunk order. One Spark job labelled ``label``
-    (:func:`map_chunks`) when the sweep work exceeds :data:`LOCAL_WORK`;
-    otherwise the same chunks run in this process, with no job, broadcast
-    or job label."""
+    sources at a time, in chunk order, through :func:`map_chunks` (one
+    Spark job labelled ``label``, or none for a small sweep)."""
 
     def task(graph: CSRGraph, chunk: np.ndarray) -> np.ndarray:
         step = block_size(graph)
@@ -114,10 +119,8 @@ def _map_blocks(
             for i in range(0, len(chunk), step)
         )
 
-    chunks = source_chunks(spark, sources)
-    if len(sources) * (g.n + len(g.indices)) <= LOCAL_WORK:
-        return [task(g, chunk) for chunk in chunks]
-    return map_chunks(spark, g, chunks, task, label)
+    work = len(sources) * (g.n + len(g.indices))
+    return map_chunks(spark, g, source_chunks(spark, sources), task, label, work)
 
 
 def betweenness_vector(spark: SparkSession, g: CSRGraph) -> np.ndarray:

@@ -124,16 +124,16 @@ def run_joint_chain(
     table: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The exact sequential Eq.-17 accept/reject scan (in-process) over the
-    dense ``n × |R|`` table ``table[v, j] = δ_v•(R[j])``, scanned as the
-    flattened cells ``v·|R| + j``. Returns ``(r_idx_chain, v_chain, accepted)``."""
-    k = table.shape[1]
-    cells = np.r_[int(v0) * k + int(r0_idx), prop_v * k + prop_r]
-    d = table.ravel()[cells]
-    accepted = _imh_scan(d[1:], uniforms, d[0])
-    # per state, the candidate it holds: 0 is the start, t + 1 is proposal t
-    at = np.arange(len(cells))
-    at[1:][~accepted] = 0
-    v, r_idx = np.divmod(cells[np.maximum.accumulate(at, out=at)], k)
+    dense ``n × |R|`` table ``table[v, j] = δ_v•(R[j])``. Returns
+    ``(r_idx_chain, v_chain, accepted)``."""
+    accepted = _imh_scan(table[prop_v, prop_r], uniforms, table[v0, r0_idx])
+    # per state, the last proposal accepted so far, −1 before the first move
+    at = np.arange(-1, len(prop_v))
+    at[1:][~accepted] = -1
+    np.maximum.accumulate(at, out=at)
+    v, r_idx = prop_v[at], prop_r[at]
+    start = np.searchsorted(at, 0)  # the states that still hold the start
+    v[:start], r_idx[:start] = v0, r0_idx
     return r_idx, v, accepted
 
 
@@ -170,7 +170,7 @@ def mh_joint(
     r_idx, v_chain, accepted = run_joint_chain(
         prop_r, prop_v, uniforms, r0_idx, v0, table
     )
-    delta_chain = table[v_chain]  # (T+1, k)
+    delta_chain = table.take(v_chain, axis=0)  # (T+1, k)
     # the rows of each sub-chain S(j); with |R| = 1 there is no pair to estimate
     sub = [delta_chain[r_idx == j] for j in range(k)] if k > 1 else []
     ratio, relative = np.ones((k, k)), np.ones((k, k))

@@ -1,18 +1,26 @@
 """Tests for the three comparator algorithms (Table 5)."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.distance_sampler import (
     distance_distribution,
     distance_sampler_estimate,
 )
-from repro.baselines.rk_sampler import rk_estimate
+from repro.baselines import rk_sampler
+from repro.baselines.rk_sampler import landmarks, prune, rk_estimate
 from repro.baselines.uniform_source import uniform_source_estimate
 from repro.bfs.local import bfs_sigma, random_shortest_path
+from repro.brandes.exact import map_chunks
+from repro.brandes.reference import brandes_betweenness
+from repro.graphs import generators as gen
 from repro.graphs.csr import from_edges
 
 from .conftest import SMALL_GRAPHS, dep_column, exact_bc, graph
-from .test_local_bfs import graph_edges
+from .test_local_bfs import diamond_chain, graph_edges
 
 
 def _scores(key, r):
@@ -92,14 +100,18 @@ class TestDistanceSampler:
         assert abs(np.mean(ests) - bc[r]) / bc[r] < 0.05
 
 
-def rk_oracle(g, r, T, seed):
-    """Serial RK: the same seeded pairs, each through ``random_shortest_path``."""
+def rk_pairs(g, T, seed):
+    """``(s, t, pair_seed)``: the pairs and per-pair seeds ``rk_estimate`` draws."""
     rng = np.random.default_rng(seed)
     s = rng.integers(0, g.n, size=T)
     t = (s + 1 + rng.integers(0, g.n - 1, size=T)) % g.n
-    pair_seed = rng.integers(0, 2**62, size=T)
+    return s, t, rng.integers(0, 2**62, size=T)
+
+
+def rk_oracle(g, r, T, seed):
+    """Serial RK: the same seeded pairs, each through ``random_shortest_path``."""
     hits = 0
-    for a, b, ps in zip(s, t, pair_seed):
+    for a, b, ps in zip(*rk_pairs(g, T, seed)):
         path = random_shortest_path(g, int(a), int(b), np.random.default_rng(int(ps)))
         hits += path is not None and r in path[1:-1]
     return hits / T
@@ -112,12 +124,87 @@ RK_GRAPHS = {
 }
 
 
+def roles(g):
+    """Max-BC vertex, the BC-median vertex and a lowest-degree vertex (a leaf
+    where there is one)."""
+    order = np.argsort(-brandes_betweenness(g), kind="stable")
+    return {int(order[0]), int(order[len(order) // 2]), int(np.argmin(np.diff(g.indptr)))}
+
+
+@st.composite
+def random_graphs(draw):
+    """A random simple graph on 2–14 vertices, connected or not."""
+    n = draw(st.integers(2, 14))
+    pairs = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+    )
+    return from_edges(n, graph_edges(sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})))
+
+
+def assert_prune_sound(g):
+    """No pair ``prune`` drops has a shortest path through its ``r``, for every
+    ``r`` and every ordered pair of distinct vertices."""
+    dist = np.array([bfs_sigma(g, v)[0] for v in range(g.n)])
+    s, t = np.nonzero(~np.eye(g.n, dtype=bool))
+    for r in range(g.n):
+        keep, dist_r = prune(g, r, s, t)
+        assert np.array_equal(dist_r, dist[r])
+        d_sr, d_rt = dist[s, r], dist[r, t]
+        on = (s != r) & (t != r) & (d_sr >= 0) & (d_rt >= 0) & (d_sr + d_rt == dist[s, t])
+        assert not (on & ~keep).any()
+
+
+class TestRKPruning:
+    """``prune`` drops only pairs without a shortest path through ``r``, for
+    any number of landmarks, and drops sources on a real graph."""
+
+    @pytest.mark.parametrize("landmarks", [0, 1, 2, 16])
+    @pytest.mark.parametrize("key", sorted(RK_GRAPHS))
+    def test_sound_on_suite(self, monkeypatch, key, landmarks):
+        monkeypatch.setattr(rk_sampler, "LANDMARKS", landmarks)
+        assert_prune_sound(RK_GRAPHS[key]())
+
+    @given(random_graphs(), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_sound_on_random_graphs(self, g, landmarks):
+        with mock.patch.object(rk_sampler, "LANDMARKS", landmarks):
+            assert_prune_sound(g)
+
+    def test_landmarks_by_degree_without_r(self):
+        g = graph("star8")  # centre 0 has degree 7, every leaf degree 1
+        assert list(landmarks(g, 3)) == [0, 1, 2, 4, 5, 6, 7]
+        assert list(landmarks(g, 0)) == [1, 2, 3, 4, 5, 6, 7]
+
+    def test_landmark_pass_ignores_sigma_overflow(self):
+        # σ from the first hubs of 1 100 diamonds overflows float64; the
+        # pruning reads only distances, so it must not raise.
+        g = diamond_chain(1100)
+        s, t = np.array([300, 0]), np.array([2000, g.n - 1])
+        keep, dist_r = prune(g, 1650, s, t)
+        assert keep.all() and np.array_equal(dist_r, bfs_sigma(g, 1650)[0])
+
+    def test_ba300_hub_sweeps_fewer_sources(self, spark, monkeypatch):
+        g = gen.barabasi_albert(300, 3, seed=1)
+        r = int(np.argmax(np.diff(g.indptr)))
+        handed = []
+
+        def spy(spark, g, chunks, task, label, work):
+            handed.extend(chunks)
+            return map_chunks(spark, g, chunks, task, label, work)
+
+        monkeypatch.setattr(rk_sampler, "map_chunks", spy)
+        res = rk_estimate(spark, g, r, 300, seed=5)
+        swept = np.unique(np.concatenate(handed)[:, 0])
+        assert 0 < len(swept) < len(np.unique(rk_pairs(g, 300, 5)[0]))
+        assert res.estimate_nbc == rk_oracle(g, r, 300, 5)
+
+
 class TestRKSampler:
     @pytest.mark.parametrize("key", sorted(RK_GRAPHS))
     def test_equals_serial_oracle(self, spark, key):
         g = RK_GRAPHS[key]()
-        for r in (0, g.n // 2, g.n - 1):
-            for seed in (1, 2):
+        for r in sorted({0, g.n // 2, g.n - 1} | roles(g)):
+            for seed in (1, 2, 3):
                 got = rk_estimate(spark, g, r, 200, seed=seed).estimate_nbc
                 assert got == rk_oracle(g, r, 200, seed)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from pyspark import SparkContext
 
-from repro.baselines.rk_sampler import rk_estimate
+from repro.baselines.rk_sampler import prune, rk_estimate
 from repro.bfs.local import dependency_vector
 from repro.brandes import exact
 from repro.brandes.exact import (
@@ -24,6 +24,7 @@ from repro.graphs import generators as gen
 from repro.graphs.csr import from_edges
 
 from .conftest import SMALL_GRAPHS, dep_column, exact_bc, graph, job_group
+from .test_baselines import rk_pairs
 from .test_local_bfs import graph_edges
 
 
@@ -115,13 +116,19 @@ def job_labels(monkeypatch):
     return labels
 
 
+def _rk_on_er30(spark, g):
+    # rk_estimate starts a job only if some of its pairs survive pruning.
+    assert prune(g, 0, *rk_pairs(g, 50, 1)[:2])[0].any()
+    return rk_estimate(spark, g, 0, 50, seed=1)
+
+
 class TestSparkResources:
     @pytest.mark.parametrize(
         "call",
         [
             lambda spark, g: betweenness_vector(spark, g),
             lambda spark, g: dependency_matrix(spark, g, [0, 3]),
-            lambda spark, g: rk_estimate(spark, g, 0, 50, seed=1),
+            _rk_on_er30,
         ],
         ids=["betweenness_vector", "dependency_matrix", "rk_estimate"],
     )
@@ -138,7 +145,7 @@ class TestSparkResources:
         ]
         assert spark.sparkContext.getLocalProperty("spark.job.description") is None
 
-    def test_rk_job_labelled_then_restored(self, spark, monkeypatch):
+    def test_rk_job_labelled_then_restored(self, spark, on_spark, monkeypatch):
         labels = []
         orig = SparkContext.setJobDescription
 
@@ -149,7 +156,7 @@ class TestSparkResources:
         monkeypatch.setattr(SparkContext, "setJobDescription", spy)
         spark.sparkContext.setJobDescription("caller")
         try:
-            rk_estimate(spark, graph("er30"), 0, 50, seed=1)
+            _rk_on_er30(spark, graph("er30"))
             assert labels == ["caller", "baselines.rk_estimate", "caller"]
         finally:
             orig(spark.sparkContext, None)
@@ -163,7 +170,7 @@ def _disconnected():
 class TestDriverPath:
     """Calls of at most ``LOCAL_WORK`` sweep elements run on the driver, with
     the chunks, task and fold of the Spark job, so their results are the same
-    bit for bit."""
+    bit for bit. This holds for the RK baseline's pairs too."""
 
     @pytest.mark.parametrize("key", sorted(SMALL_GRAPHS) + ["disconnected"])
     def test_same_as_spark(self, spark, monkeypatch, key):
@@ -172,11 +179,13 @@ class TestDriverPath:
         def run(local_work):
             monkeypatch.setattr(exact, "LOCAL_WORK", local_work)
             dm = dependency_matrix(spark, g, range(g.n))
-            return betweenness_vector(spark, g), dm["delta"].to_numpy()
+            rk = [rk_estimate(spark, g, r, 200, seed=3).estimate_nbc for r in range(g.n)]
+            return betweenness_vector(spark, g), dm["delta"].to_numpy(), rk
 
-        (bc_driver, dm_driver), (bc_spark, dm_spark) = run(2**62), run(0)
+        (bc_driver, dm_driver, rk_driver), (bc_spark, dm_spark, rk_spark) = run(2**62), run(0)
         assert np.array_equal(bc_driver, bc_spark)
         assert np.array_equal(dm_driver, dm_spark)
+        assert rk_driver == rk_spark
 
     def test_starts_no_job(self, spark, monkeypatch, broadcasts, job_labels):
         with job_group(spark, "test.driver-path") as jobs:
@@ -241,8 +250,9 @@ class TestZipImporters:
             return os.getpid(), sum(isinstance(f, zipimport.zipimporter) for f in cache)
 
         chunks = list(range(spark.sparkContext.defaultParallelism))
-        first = map_chunks(spark, graph("path7"), chunks, task, "test.first")
-        second = map_chunks(spark, graph("path7"), chunks, task, "test.second")
+        work = exact.LOCAL_WORK + 1  # above the cut: a Spark job
+        first = map_chunks(spark, graph("path7"), chunks, task, "test.first", work)
+        second = map_chunks(spark, graph("path7"), chunks, task, "test.second", work)
         reused = [count for pid, count in second if pid in {p for p, _ in first}]
         assert reused and reused == [0] * len(reused)
 

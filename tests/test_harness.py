@@ -145,11 +145,15 @@ class TestTableBuilders:
         monkeypatch.setattr(
             exact,
             "map_chunks",
-            lambda spark, g, chunks, task, label: jobs.append(label)
+            lambda spark, g, chunks, task, label, work: jobs.append(
+                (label, work > exact.LOCAL_WORK)
+            )
             or [task(g, c) for c in chunks],
         )
         tables.table7(spark, "bench")
-        assert jobs == ["brandes.betweenness_vector", "brandes.dependency_matrix"] * 5
+        assert jobs == [
+            ("brandes.betweenness_vector", True), ("brandes.dependency_matrix", True)
+        ] * 5
 
     @pytest.mark.parametrize(
         "table,n_bc", [(tables.table2, 2), (tables.table3, 8)], ids=["T2", "T3"]
