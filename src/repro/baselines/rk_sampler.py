@@ -9,10 +9,11 @@ the estimate depends only on ``(g, r, T, seed)``. A pair can hit only if
 :data:`LANDMARKS` landmarks bounds ``d(s,t) ≤ d(s,l) + d(l,t)`` (the ALT
 bound of Goldberg & Harrelson, SODA 2005), and :func:`prune` drops every
 pair that this bound, or an endpoint, puts off ``r``: such a pair has no
-shortest path through ``r`` and would score no hit. The surviving pairs
-run grouped by source through :func:`~repro.brandes.exact.map_chunks`
-(one Spark job, or in-process when their sweeps are small): one block BFS
-per distinct source, and a walk only for pairs that have ``r`` on some
+shortest path through ``r`` and would score no hit. The surviving pairs,
+sorted by source, are a fold over the exact layer's sweep driver
+:func:`~repro.brandes.exact.map_blocks` (one Spark job, or in-process when
+their sweeps are small): one :func:`~repro.bfs.local.bfs_block` row per
+distinct source, and a walk only for pairs that have ``r`` on some
 shortest path. The VC-dimension sample budget lives in
 :func:`repro.core.theory.rk_sample_budget`.
 """
@@ -21,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 from pyspark.sql import SparkSession
 
-from ..bfs.local import bfs_block, block_size, walk_back
-from ..brandes.exact import check_sampler_args, map_chunks, source_chunks
+from ..bfs.local import bfs_block, walk_back
+from ..brandes.exact import check_sampler_args, map_blocks
 from ..graphs.csr import CSRGraph
 from .uniform_source import BaselineResult
 
@@ -91,37 +92,28 @@ def rk_estimate(
     pair_seed = rng.integers(0, 2**62, size=T)
     keep, dist_r = prune(g, r, s, t)
     pairs = np.stack([s, t, pair_seed], axis=1)[keep]
-    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
-    # Each chunk carries every pair of a contiguous run of distinct sources.
-    sources = np.unique(pairs[:, 0])
-    cuts = [c[0] for c in source_chunks(spark, sources)[1:]]
-    chunks = np.split(pairs, np.searchsorted(pairs[:, 0], cuts))
+    src, dst, seeds = pairs[np.argsort(pairs[:, 0], kind="stable")].T
 
-    def task(graph: CSRGraph, chunk: np.ndarray) -> int:
-        """Hits among ``chunk``'s pairs (sorted by source)."""
-        sources, first = np.unique(chunk[:, 0], return_index=True)
-        first = np.append(first, len(chunk))
-        step = block_size(graph)
+    def fold(graph: CSRGraph, blocks) -> int:
+        """Hits among the pairs whose sources are the ``blocks``' sources."""
         hits = 0
-        for i in range(0, len(sources), step):
-            dist, sigma = bfs_block(graph, sources[i : i + step])
-            lo, hi = first[i], first[min(i + step, len(sources))]
-            src, dst, seeds = chunk[lo:hi].T
-            row = np.searchsorted(sources[i : i + step], src)
-            d_st, d_sr = dist[row, dst], dist[row, r]
+        for block, (dist, sigma) in blocks:
+            lo, hi = np.searchsorted(src, [block[0], block[-1] + 1])
+            row, to = np.searchsorted(block, src[lo:hi]), dst[lo:hi]
+            d_st, d_sr = dist[row, to], dist[row, r]
             # prune kept only pairs with r ∉ {s, t} and r reachable from both.
-            on = d_sr + dist_r[dst] == d_st
+            on = d_sr + dist_r[to] == d_st
             for k in np.flatnonzero(on):
                 # The walk meets r at r's level or not at all: stop there.
                 walk = walk_back(
-                    graph, dist[row[k]], sigma[row[k]], int(dst[k]),
-                    np.random.default_rng(int(seeds[k])), stop=int(d_sr[k]),
+                    graph, dist[row[k]], sigma[row[k]], int(to[k]),
+                    np.random.default_rng(int(seeds[lo + k])), stop=int(d_sr[k]),
                 )
                 hits += walk[-1] == r
         return hits
 
-    work = len(sources) * (g.n + len(g.indices))
-    nbc = sum(map_chunks(spark, g, chunks, task, "baselines.rk_estimate", work)) / T
+    sources = np.unique(src)
+    nbc = sum(map_blocks(spark, g, sources, fold, "baselines.rk_estimate", bfs_block)) / T
     return BaselineResult(
         r=r,
         T=T,

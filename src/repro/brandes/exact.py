@@ -1,12 +1,14 @@
 """Exact betweenness via Spark-distributed Brandes passes.
 
-The exact baseline of every table. The sources of a call are cut into
-``defaultParallelism`` contiguous chunks, each chunk is swept with the
-batched kernel :func:`~repro.bfs.local.dependency_block`, and the driver
+The exact baseline of every table, and the one sweep driver of every job
+kind. :func:`map_blocks` cuts a call's sources into ``defaultParallelism``
+contiguous chunks, steps each chunk in :func:`~repro.bfs.local.block_size`
+blocks, sweeps each block (with :func:`~repro.bfs.local.dependency_block`
+for both exact calls, with :func:`~repro.bfs.local.bfs_block` for the RK
+baseline's pairs) and hands the blocks to the caller's fold; the driver
 reduces the per-chunk results in chunk order, so the result is identical
 from run to run at a given ``defaultParallelism``. :func:`map_chunks` runs
-the chunks of every job kind (both exact calls and the RK baseline's
-pairs): as one Spark job against a broadcast CSR when the call's sweep
+the chunks as one Spark job against a broadcast CSR when the call's sweep
 work exceeds :data:`LOCAL_WORK`, and otherwise, when the job would cost
 more than its sweeps, on the driver, with bit-identical results. This is
 the O(nm) computation the paper's samplers undercut.
@@ -29,13 +31,6 @@ from ..graphs.csr import CSRGraph
 # job's fixed cost (BA-2000 on local[4], median of 15: 225 sources, 3.1 M
 # elements, 0.149 s on Spark against 0.152 s on the driver).
 LOCAL_WORK = 3 * 2**20
-
-
-def source_chunks(spark: SparkSession, sources: np.ndarray) -> list[np.ndarray]:
-    """``sources`` cut into ``defaultParallelism`` contiguous chunks, never
-    more chunks than sources (and one, possibly empty, if there are none)."""
-    k = min(spark.sparkContext.defaultParallelism, len(sources))
-    return np.array_split(sources, max(1, k))
 
 
 def _drop_zip_importers() -> None:
@@ -100,27 +95,35 @@ def map_chunks(
         bg.destroy()
 
 
-def _map_blocks(
+def map_blocks(
     spark: SparkSession,
     g: CSRGraph,
     sources: np.ndarray,
-    fold: Callable[[Iterator[np.ndarray]], np.ndarray],
+    fold: Callable[[CSRGraph, Iterator[tuple[np.ndarray, Any]]], Any],
     label: str,
-) -> list[np.ndarray]:
-    """``fold`` of the :func:`dependency_block` outputs of each of the
-    :func:`source_chunks` of ``sources``, one block of :func:`block_size`
-    sources at a time, in chunk order, through :func:`map_chunks` (one
-    Spark job labelled ``label``, or none for a small sweep)."""
+    sweep: Callable[[CSRGraph, np.ndarray], Any] = dependency_block,
+) -> list[Any]:
+    """One ``fold`` result per chunk of ``sources``, in chunk order.
 
-    def task(graph: CSRGraph, chunk: np.ndarray) -> np.ndarray:
+    ``sources`` is cut into ``defaultParallelism`` contiguous chunks (never
+    more chunks than sources, and one, possibly empty, if there are none).
+    Each chunk's task calls ``fold(graph, blocks)``, where ``graph`` is the
+    task's copy of ``g`` and ``blocks`` yields ``(block, sweep(graph,
+    block))`` for each run of :func:`block_size` sources of the chunk, in
+    order. The chunks run through :func:`map_chunks` with the call's sweep
+    work, ``len(sources) · (n + arcs)``: one Spark job labelled ``label``,
+    or none for a small sweep.
+    """
+
+    def task(graph: CSRGraph, chunk: np.ndarray) -> Any:
         step = block_size(graph)
-        return fold(
-            dependency_block(graph, chunk[i : i + step])
-            for i in range(0, len(chunk), step)
-        )
+        blocks = (chunk[i : i + step] for i in range(0, len(chunk), step))
+        return fold(graph, ((block, sweep(graph, block)) for block in blocks))
 
+    k = min(spark.sparkContext.defaultParallelism, len(sources))
+    chunks = np.array_split(sources, max(1, k))
     work = len(sources) * (g.n + len(g.indices))
-    return map_chunks(spark, g, source_chunks(spark, sources), task, label, work)
+    return map_chunks(spark, g, chunks, task, label, work)
 
 
 def betweenness_vector(spark: SparkSession, g: CSRGraph) -> np.ndarray:
@@ -133,10 +136,10 @@ def betweenness_vector(spark: SparkSession, g: CSRGraph) -> np.ndarray:
     """
     n = g.n
 
-    def fold(blocks: Iterator[np.ndarray]) -> np.ndarray:
-        return sum((block.sum(axis=0) for block in blocks), np.zeros(n))
+    def fold(graph: CSRGraph, blocks: Iterator) -> np.ndarray:
+        return sum((delta.sum(axis=0) for _, delta in blocks), np.zeros(n))
 
-    parts = _map_blocks(
+    parts = map_blocks(
         spark, g, np.arange(n, dtype=np.int64), fold, "brandes.betweenness_vector"
     )
     return sum(parts, np.zeros(n))
@@ -214,10 +217,10 @@ def dependency_matrix(
     else:
         src = _vertex_ids(g.n, sources, "source")
 
-    def fold(blocks: Iterator[np.ndarray]) -> np.ndarray:
-        return np.concatenate([block[:, tg] for block in blocks] + [np.empty((0, len(tg)))])
+    def fold(graph: CSRGraph, blocks: Iterator) -> np.ndarray:
+        return np.concatenate([delta[:, tg] for _, delta in blocks] + [np.empty((0, len(tg)))])
 
-    delta = np.concatenate(_map_blocks(spark, g, src, fold, "brandes.dependency_matrix"))
+    delta = np.concatenate(map_blocks(spark, g, src, fold, "brandes.dependency_matrix"))
     return pd.DataFrame(
         {
             "s": np.tile(src, len(tg)),

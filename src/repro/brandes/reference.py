@@ -108,8 +108,7 @@ def closed_form(name: str, n: int) -> np.ndarray:
 
     ``star``: centre ``(n−1)(n−2)``, leaves 0. ``complete``: all 0.
     ``path``: vertex ``i`` has ``2·i·(n−1−i)``. ``cycle`` (odd ``n``):
-    every vertex ``(n−1)(n−3)/4 · 2 / 2``… computed as the exact
-    per-vertex value ``2·(n−1)(n−3)/8·…`` — implemented from the pair
+    every vertex ``(n−1)(n−3)/4`` (12 on cycle-9), computed from the pair
     count: each ordered pair at distance ``d`` has a unique shortest path
     crossing ``d−1`` interior vertices (odd cycles have unique geodesics).
     """

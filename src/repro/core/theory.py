@@ -29,21 +29,17 @@ def mcmc_hoeffding_tail(n_samples: int, epsilon: float, lam: float) -> float:
 
 def theorem1_tail(T: int, epsilon: float, mu: float) -> float:
     """RHS of Ineq. 12: tail bound for the single-space sampler after
-    ``T`` iterations (chain length ``T+1``)."""
-    if T < 1:
-        return 1.0
-    inner = 2.0 * epsilon / mu - 3.0 / T
-    if inner <= 0:
-        return 1.0
-    return min(1.0, 2.0 * math.exp(-(T / 2.0) * inner * inner))
+    ``T`` iterations — Ineq. 9 at chain length ``n = T+1``, ``λ = 1/μ``."""
+    return mcmc_hoeffding_tail(T + 1, epsilon, 1.0 / mu)
 
 
 def sample_budget(epsilon: float, delta: float, mu: float) -> int:
     """Eq. 14 / Eq. 27: ``T ≥ μ²/(2ε²)·ln(2/δ)`` — the number of
     iterations (resp. sub-chain samples) guaranteeing an
-    (ε, δ)-approximation. Constant in |V| whenever μ is."""
-    if not (0 < delta < 1) or epsilon <= 0 or mu <= 0:
-        raise ValueError("need epsilon > 0, 0 < delta < 1, mu > 0")
+    (ε, δ)-approximation. Constant in |V| whenever μ is. ``ValueError``
+    for a non-finite μ (``mu_r`` is ∞ for a vertex with BC = 0)."""
+    if not (0 < delta < 1) or epsilon <= 0 or not (0 < mu < math.inf):
+        raise ValueError("need epsilon > 0, 0 < delta < 1, 0 < mu < inf")
     return int(math.ceil(mu * mu / (2.0 * epsilon * epsilon) * math.log(2.0 / delta)))
 
 

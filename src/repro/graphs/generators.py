@@ -134,7 +134,6 @@ def barabasi_albert(n: int, m_attach: int, *, seed: int = 0) -> CSRGraph:
     g = np.random.default_rng(seed)
     # Repeated-endpoints list implements preferential attachment in O(1)
     # per draw (each edge endpoint appears once per incident edge).
-    targets_pool = list(range(m_attach + 1))
     pairs = [(i, j) for i in range(m_attach + 1) for j in range(i + 1, m_attach + 1)]
     pool = [v for e in pairs for v in e]
     for v in range(m_attach + 1, n):
@@ -144,7 +143,6 @@ def barabasi_albert(n: int, m_attach: int, *, seed: int = 0) -> CSRGraph:
         for t in chosen:
             pairs.append((v, t))
             pool.extend((v, t))
-    del targets_pool
     return from_edges(n, _edges_df(pairs), name=f"ba-{n}-m{m_attach}-s{seed}")
 
 

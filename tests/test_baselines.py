@@ -14,7 +14,7 @@ from repro.baselines import rk_sampler
 from repro.baselines.rk_sampler import landmarks, prune, rk_estimate
 from repro.baselines.uniform_source import uniform_source_estimate
 from repro.bfs.local import bfs_sigma, random_shortest_path
-from repro.brandes.exact import map_chunks
+from repro.brandes import exact
 from repro.brandes.reference import brandes_betweenness
 from repro.graphs import generators as gen
 from repro.graphs.csr import from_edges
@@ -188,13 +188,14 @@ class TestRKPruning:
         r = int(np.argmax(np.diff(g.indptr)))
         handed = []
 
-        def spy(spark, g, chunks, task, label, work):
-            handed.extend(chunks)
-            return map_chunks(spark, g, chunks, task, label, work)
+        def spy(spark, g, sources, fold, label, sweep=exact.dependency_block):
+            if label == "baselines.rk_estimate":
+                handed.append(sources)
+            return exact.map_blocks(spark, g, sources, fold, label, sweep)
 
-        monkeypatch.setattr(rk_sampler, "map_chunks", spy)
+        monkeypatch.setattr(rk_sampler, "map_blocks", spy)
         res = rk_estimate(spark, g, r, 300, seed=5)
-        swept = np.unique(np.concatenate(handed)[:, 0])
+        (swept,) = handed
         assert 0 < len(swept) < len(np.unique(rk_pairs(g, 300, 5)[0]))
         assert res.estimate_nbc == rk_oracle(g, r, 300, 5)
 
@@ -204,6 +205,20 @@ class TestRKSampler:
     def test_equals_serial_oracle(self, spark, key):
         g = RK_GRAPHS[key]()
         for r in sorted({0, g.n // 2, g.n - 1} | roles(g)):
+            for seed in (1, 2, 3):
+                got = rk_estimate(spark, g, r, 200, seed=seed).estimate_nbc
+                assert got == rk_oracle(g, r, 200, seed)
+
+    @pytest.mark.parametrize("path", ["driver", "spark"])
+    @pytest.mark.parametrize("step", [1, 2])
+    @pytest.mark.parametrize("key", sorted(RK_GRAPHS))
+    def test_several_blocks_per_chunk(self, spark, monkeypatch, request, key, step, path):
+        # The small graphs sweep each chunk in one block; force several.
+        if path == "spark":
+            request.getfixturevalue("on_spark")
+        monkeypatch.setattr(exact, "block_size", lambda g: step)
+        g = RK_GRAPHS[key]()
+        for r in list(dict.fromkeys([*sorted(roles(g)), g.n // 2, g.n - 1]))[:3]:
             for seed in (1, 2, 3):
                 got = rk_estimate(spark, g, r, 200, seed=seed).estimate_nbc
                 assert got == rk_oracle(g, r, 200, seed)

@@ -1,4 +1,6 @@
 """Harness + table builders produce well-formed rows at test scale."""
+import functools
+
 import numpy as np
 import pytest
 
@@ -95,7 +97,7 @@ class TestRunnerPieces:
         def no_sweep(*args):
             raise AssertionError("swept before the targets were checked")
 
-        monkeypatch.setattr(exact, "_map_blocks", no_sweep)
+        monkeypatch.setattr(exact, "map_blocks", no_sweep)
         with pytest.raises(ValueError, match="duplicate"):
             runner.joint_rows(spark, small_barbell, [8, 8, 0], [400], n_chains=3)
 
@@ -141,7 +143,8 @@ class TestTableBuilders:
         # scale, warm-up row included, is above exact.LOCAL_WORK. The kernel
         # and the job are faked, since only the path taken is checked.
         jobs = []
-        monkeypatch.setattr(exact, "dependency_block", lambda g, s: np.zeros((len(s), g.n)))
+        fake = functools.partial(exact.map_blocks, sweep=lambda g, s: np.zeros((len(s), g.n)))
+        monkeypatch.setattr(exact, "map_blocks", fake)
         monkeypatch.setattr(
             exact,
             "map_chunks",
@@ -163,13 +166,13 @@ class TestTableBuilders:
         # swept only where the probes are picked from it (T2's BA graphs,
         # every T3 graph through roles_for).
         calls = []
-        map_blocks = exact._map_blocks
+        map_blocks = exact.map_blocks
 
-        def spy(spark, g, sources, fold, label):
+        def spy(spark, g, sources, fold, label, sweep=exact.dependency_block):
             calls.append((label, g.name))
-            return map_blocks(spark, g, sources, fold, label)
+            return map_blocks(spark, g, sources, fold, label, sweep)
 
-        monkeypatch.setattr(exact, "_map_blocks", spy)
+        monkeypatch.setattr(exact, "map_blocks", spy)
         df = table(spark, "test")
         swept = [name for label, name in calls if label == "brandes.dependency_matrix"]
         assert sorted(swept) == sorted(set(df["graph"]))

@@ -42,6 +42,12 @@ class TestSampleBudget:
         with pytest.raises(ValueError):
             sample_budget(eps, delta, mu)
 
+    @pytest.mark.parametrize("mu", [math.inf, math.nan])
+    def test_rejects_non_finite_mu(self, mu):
+        # mu_r is ∞ for a BC = 0 probe.
+        with pytest.raises(ValueError, match="mu"):
+            sample_budget(0.05, 0.1, mu)
+
 
 class TestTailBounds:
     def test_tail_in_unit_interval(self):
@@ -72,6 +78,17 @@ class TestTailBounds:
         assert np.isclose(
             theorem1_tail(T, eps, mu), mcmc_hoeffding_tail(T + 1, eps, 1.0 / mu)
         )
+
+    def test_theorem1_matches_ineq12_near_budget(self):
+        # Ineq. 12 as printed, 2·exp(−(T/2)(2ε/μ − 3/T)²), to the 4 decimals
+        # Table 4 reports, around the Eq.-14 budget of each μ.
+        eps, delta = 0.05, 0.1
+        for mu in np.linspace(1.0, 4.0, 61):
+            T0 = sample_budget(eps, delta, mu)
+            for T in range(max(1, T0 - 200), T0 + 200, 7):
+                inner = 2 * eps / mu - 3 / T
+                ineq12 = 1.0 if inner <= 0 else min(1.0, 2 * math.exp(-T / 2 * inner**2))
+                assert round(theorem1_tail(T, eps, mu), 4) == round(ineq12, 4)
 
 
 class TestBiasEnvelope:
